@@ -3,7 +3,7 @@ features: effective-number label rebalancing, calibrated-and-sharpened
 pseudo-labels, and latent-space mixing consistency training, plus a
 synthetic long-tail data generator and an evaluation suite."""
 
-from .calibration import MarginalEstimator, calibrate, pseudo_label, sharpen
+from .calibration import MarginalEstimator, calibrate, sharpen
 from .data import (
     DatasetHeader,
     Example,
@@ -31,64 +31,15 @@ from .metrics import (
     weighted_f1,
 )
 from .numerics import GradientSet, MlpClassifier, load_model, save_model, sgd_step
-from .rebalance import balanced_cross_entropy, class_weights, effective_number_weight
+from .rebalance import class_weights, effective_number_weight
 from .softmix import MixedViews, draw_lambda, mix_views
 from .trainer import (
     QAMatchTrainer,
     StepResult,
     TrainConfig,
     build_trainer,
-    evaluate_checkpoint,
     read_report,
-    train,
     write_report,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MarginalEstimator",
-    "calibrate",
-    "pseudo_label",
-    "sharpen",
-    "DatasetHeader",
-    "Example",
-    "SynthConfig",
-    "load_dataset",
-    "load_truth",
-    "longtail_counts",
-    "synth_generate",
-    "write_dataset",
-    "QAMatchError",
-    "ParameterError",
-    "ShapeError",
-    "DataFormatError",
-    "UndefinedMetricError",
-    "DivergenceError",
-    "accuracy",
-    "confusion_matrix",
-    "evaluate_model",
-    "kl_divergence",
-    "per_class_accuracy",
-    "weighted_f1",
-    "GradientSet",
-    "MlpClassifier",
-    "load_model",
-    "save_model",
-    "sgd_step",
-    "balanced_cross_entropy",
-    "class_weights",
-    "effective_number_weight",
-    "MixedViews",
-    "draw_lambda",
-    "mix_views",
-    "QAMatchTrainer",
-    "StepResult",
-    "TrainConfig",
-    "build_trainer",
-    "evaluate_checkpoint",
-    "read_report",
-    "train",
-    "write_report",
-    "__version__",
-]

@@ -127,9 +127,3 @@ def sharpen(dist: np.ndarray, temperature: float) -> np.ndarray:
     m = np.max(scaled, axis=-1, keepdims=True)
     e = np.exp(scaled - m)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def pseudo_label(raw_pred, prior, marginal, temperature, diagnostics=None) -> np.ndarray:
-    """Full pipeline: calibrate then sharpen. Treated as a constant target
-    downstream (no gradient flows through it)."""
-    return sharpen(calibrate(raw_pred, prior, marginal, diagnostics), temperature)

@@ -345,11 +345,12 @@ def cmd_train(args) -> int:
     valid_header = valid_records = None
     if os.path.exists(valid_path):
         valid_header, valid_records, valid_unlabeled = data_mod.load_dataset(valid_path)
-        if valid_header.dim != header.dim or valid_header.class_names != header.class_names:
-            raise DataFormatError("validation file disagrees with training header")
         if valid_unlabeled:
             raise DataFormatError("validation file must not contain unlabeled records")
     truth = data_mod.load_truth(truth_path) if os.path.exists(truth_path) else None
+    session = trainer_mod.build_trainer(
+        config, header, labeled, unlabeled, valid_header, valid_records, truth
+    )
 
     filenames = ["model.qam", "report.jsonl", "manifest.json"]
     _ensure_out_dir(args.out, filenames, args.force)
@@ -358,9 +359,7 @@ def cmd_train(args) -> int:
         len(labeled), len(unlabeled), config.iterations,
     )
     try:
-        model, records = trainer_mod.train(
-            config, header, labeled, unlabeled, valid_header, valid_records, truth
-        )
+        records = session.run()
     except DivergenceError as e:
         snap_path = os.path.join(args.out, "snapshot.json")
         with open(snap_path, "w", encoding="utf-8") as fh:
@@ -371,7 +370,7 @@ def cmd_train(args) -> int:
 
     model_path = os.path.join(args.out, "model.qam")
     report_path = os.path.join(args.out, "report.jsonl")
-    save_model(model, model_path)
+    save_model(session.model, model_path)
     trainer_mod.write_report(records, report_path)
     manifest = {
         "command": "train",

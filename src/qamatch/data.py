@@ -68,12 +68,6 @@ class DatasetHeader:
     def num_classes(self) -> int:
         return len(self.class_names)
 
-    def label_distribution(self) -> np.ndarray:
-        counts = np.asarray(self.labeled_counts, dtype=np.float64)
-        if counts.sum() <= 0:
-            raise ParameterError("no labeled examples; label distribution undefined")
-        return counts / counts.sum()
-
 
 @dataclass
 class Example:
@@ -290,9 +284,9 @@ def longtail_counts(n_max: int, gamma: float, num_classes: int) -> list:
 class SynthConfig:
     """Resolved generation plan: explicit per-class counts for every split.
 
-    ``from_longtail`` builds the labeled/unlabeled profiles from the
-    geometric-decay rule; validation and test reuse the labeled imbalance
-    ratio so evaluation sees the deployment class mix.
+    Long-tail profiles come from ``longtail_counts``; ``qamatch generate``
+    builds validation and test with the labeled gamma so evaluation sees
+    the deployment class mix.
     """
 
     num_classes: int
@@ -339,37 +333,6 @@ class SynthConfig:
                 raise ParameterError(f"{name} must list one count per class")
             if any(c < low for c in counts):
                 raise ParameterError(f"{name} entries must be >= {low}")
-
-    @classmethod
-    def from_longtail(
-        cls,
-        num_classes,
-        dim,
-        n_max_labeled,
-        gamma_labeled,
-        n_max_unlabeled,
-        gamma_unlabeled,
-        n_max_valid,
-        n_max_test,
-        separation,
-        noise_sigma,
-        aug_sigma,
-        seed,
-        class_names=None,
-    ) -> "SynthConfig":
-        return cls(
-            num_classes=num_classes,
-            dim=dim,
-            separation=separation,
-            noise_sigma=noise_sigma,
-            aug_sigma=aug_sigma,
-            seed=seed,
-            labeled_counts=longtail_counts(n_max_labeled, gamma_labeled, num_classes),
-            unlabeled_counts=longtail_counts(n_max_unlabeled, gamma_unlabeled, num_classes),
-            valid_counts=longtail_counts(n_max_valid, gamma_labeled, num_classes),
-            test_counts=longtail_counts(n_max_test, gamma_labeled, num_classes),
-            class_names=list(class_names) if class_names else [],
-        )
 
 
 def _draw_split(cfg, rng, counts, prefix, augmented, labeled):

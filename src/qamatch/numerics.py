@@ -42,25 +42,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(target: np.ndarray, pred: np.ndarray) -> float:
-    """H(target, pred) = -sum_c target_c * log(pred_c), with the log floor."""
-    p = np.maximum(np.asarray(pred, dtype=np.float64), EPS_LOG)
-    t = np.asarray(target, dtype=np.float64)
-    return float(math.fsum((-t * np.log(p)).tolist()))
+def fsum_nonneg(values) -> float:
+    """``math.fsum`` of non-negative terms, +inf where the sum overflows.
 
-
-def check_distribution(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Validate a probability vector: entries in [0, 1], summing to 1."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ShapeError(f"expected a 1-d probability vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ParameterError("probability vector has non-finite entries")
-    if p.min() < -atol or p.max() > 1.0 + atol:
-        raise ParameterError(f"probability entries outside [0, 1]: {p}")
-    if abs(float(p.sum()) - 1.0) > atol:
-        raise ParameterError(f"probabilities sum to {p.sum()!r}, not 1")
-    return p
+    A non-finite loss stops training as a divergence; fsum itself raises
+    OverflowError when finite terms add up past the float range.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 class MlpClassifier:
@@ -104,9 +95,6 @@ class MlpClassifier:
     @property
     def num_classes(self) -> int:
         return self.layer_dims[-1]
-
-    def copy(self) -> "MlpClassifier":
-        return MlpClassifier(self.layer_dims, self.weights, self.biases)
 
     def _forward_cached(self, X: np.ndarray):
         """Returns (activations, probs); activations[0] is the input batch."""
@@ -189,7 +177,7 @@ def weighted_ce_gradient(model, X, targets, weights, denom=None):
     acts, probs = model._forward_cached(X)
     logp = np.log(np.maximum(probs, EPS_LOG))
     per_example = -(T * logp).sum(axis=1)
-    loss = math.fsum((w * per_example).tolist()) / denom
+    loss = fsum_nonneg((w * per_example).tolist()) / denom
 
     # d loss / d logits for softmax + cross-entropy with constant targets
     grad_z = (w / denom)[:, None] * (probs - T)

@@ -5,7 +5,8 @@ labeled count. As beta -> 1 the weight approaches 1/n (inverse frequency);
 at beta = 0 all classes get weight 1. The denominator is evaluated as
 -expm1(n * log1p(-(1 - beta))) so the weights stay accurate when beta is
 within float ulps of 1 and n is large, where the naive power underflows
-to 0/0 noise.
+to 0/0 noise. The trainer applies the weight of each labeled example's
+class inside its fused loss-and-gradient pass (numerics.weighted_ce_gradient).
 """
 
 from __future__ import annotations
@@ -58,25 +59,3 @@ def class_weights(counts, beta: float, rescale: bool = False) -> np.ndarray:
     if rescale:
         w = w * (len(counts) / float(w.sum()))
     return w
-
-
-def balanced_cross_entropy(targets, preds, labels, weight_vector) -> float:
-    """Mean over the batch of weight[label] * H(target, pred).
-
-    ``labels`` are integer class ids; ``targets`` are the (usually one-hot)
-    distributions fed to the cross-entropy. Exposed mainly for tests; the
-    trainer computes the same quantity fused with its gradient.
-    """
-    from .numerics import cross_entropy
-
-    targets = np.asarray(targets, dtype=np.float64)
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels)
-    if not (targets.shape[0] == preds.shape[0] == labels.shape[0]):
-        raise ParameterError("targets, preds and labels must have equal length")
-    w = np.asarray(weight_vector, dtype=np.float64)
-    terms = [
-        float(w[int(y)]) * cross_entropy(t, p)
-        for t, p, y in zip(targets, preds, labels)
-    ]
-    return math.fsum(terms) / len(terms)

@@ -11,15 +11,19 @@ coefficient lambda ~ Beta(alpha, alpha), and replaces every view v with
 The source's own mixed copy is the degenerate combination and equals the
 source exactly; it is assigned, not recomputed, so the equality holds
 bit-for-bit. Targets are never mixed: all three blended inputs train
-against the example's single pseudo-label.
+against the example's single pseudo-label. The trainer computes that
+consistency loss, with its gradient, through numerics.weighted_ce_gradient.
 
 Draw order per example is fixed: source index first, then lambda. The
 Beta draw is realized from two standard Gamma variates, g1 / (g1 + g2),
-which keeps the stream layout explicit and easy to replay.
+which keeps the stream layout explicit and easy to replay. When both
+variates underflow to zero (tiny alpha) the coefficient is NaN, so the
+step's loss is non-finite and the trainer stops with a divergence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,8 @@ def draw_lambda(alpha: float, rng: np.random.Generator) -> float:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     g1 = rng.standard_gamma(alpha)
     g2 = rng.standard_gamma(alpha)
-    return g1 / (g1 + g2)
+    total = g1 + g2
+    return g1 / total if total > 0 else math.nan
 
 
 @dataclass
@@ -110,37 +115,3 @@ def mix_views(
         lambdas=lambdas,
         sources=sources,
     )
-
-
-def mix_consistency_loss(model, mixed: MixedViews, pseudo_targets: np.ndarray) -> float:
-    """Sum over the three mixed views of H(pseudo, forward), batch-meaned.
-
-    The pseudo-label targets are constants; no gradient bookkeeping here.
-    This standalone form exists for tests; the trainer computes the same
-    quantity fused with its gradient.
-    """
-    import math
-
-    from .numerics import cross_entropy
-
-    T = np.asarray(pseudo_targets, dtype=np.float64)
-    n = T.shape[0]
-    total = []
-    for view in (mixed.original, mixed.question, mixed.context):
-        preds = model.forward_batch(view)
-        total.append(
-            math.fsum(cross_entropy(t, p) for t, p in zip(T, preds)) / n
-        )
-    return math.fsum(total)
-
-
-def anchor_consistency_loss(model, question_view, pseudo_targets) -> float:
-    """H(pseudo, forward(question-augmented view)), batch-meaned; the view
-    is used unmixed. Standalone form for tests, mirrors the trainer."""
-    import math
-
-    from .numerics import cross_entropy
-
-    T = np.asarray(pseudo_targets, dtype=np.float64)
-    preds = model.forward_batch(np.asarray(question_view, dtype=np.float64))
-    return math.fsum(cross_entropy(t, p) for t, p in zip(T, preds)) / T.shape[0]

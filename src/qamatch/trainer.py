@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
 from .data import labeled_matrix, unlabeled_matrices
 from .errors import DataFormatError, DivergenceError, ParameterError, ShapeError
 from .metrics import evaluate_model, kl_divergence
-from .numerics import GradientSet, MlpClassifier, sgd_step, weighted_ce_gradient
+from .numerics import MlpClassifier, fsum_nonneg, sgd_step, weighted_ce_gradient
 from .rebalance import class_weights
 from .softmix import MixedViews, mix_views
 
@@ -280,8 +280,8 @@ class QAMatchTrainer:
                 grads.add_scaled(g)
             self.estimator.update(raw_preds)
 
-        loss_mix = math.fsum(mix_losses)
-        loss_total = math.fsum([loss_sup, *mix_losses, loss_anchor])
+        loss_mix = fsum_nonneg(mix_losses)
+        loss_total = fsum_nonneg([loss_sup, *mix_losses, loss_anchor])
         result = StepResult(
             iteration=self.iteration,
             loss_total=loss_total,
@@ -375,11 +375,6 @@ class QAMatchTrainer:
         return records
 
 
-def evaluate_checkpoint(model, X, labels, num_classes=None) -> dict:
-    """Metrics record for a labeled dataset; same path the CLI eval uses."""
-    return evaluate_model(model, X, labels, num_classes)
-
-
 def build_trainer(
     config: TrainConfig,
     header,
@@ -389,7 +384,15 @@ def build_trainer(
     valid_records=None,
     truth=None,
 ) -> QAMatchTrainer:
-    """Assemble a trainer from loader output (and an optional truth sidecar)."""
+    """Assemble a trainer from loader output (and an optional truth sidecar).
+
+    Raises DataFormatError when ``valid_header`` disagrees with ``header``
+    on the vector width or the class names.
+    """
+    if valid_header is not None and (
+        valid_header.dim != header.dim or valid_header.class_names != header.class_names
+    ):
+        raise DataFormatError("validation file disagrees with training header")
     X, y = labeled_matrix(labeled_records)
     ids, orig, qview, cview = unlabeled_matrices(unlabeled_records)
     name_to_index = {n: i for i, n in enumerate(header.class_names)}
@@ -418,24 +421,6 @@ def build_trainer(
         valid_X=valid_X,
         valid_y=valid_y,
     )
-
-
-def train(
-    config: TrainConfig,
-    header,
-    labeled_records,
-    unlabeled_records,
-    valid_header=None,
-    valid_records=None,
-    truth=None,
-):
-    """Convenience wrapper: build, run, return (model, report records)."""
-    t = build_trainer(
-        config, header, labeled_records, unlabeled_records, valid_header,
-        valid_records, truth,
-    )
-    report = t.run()
-    return t.model, report
 
 
 def write_report(records, path) -> None:

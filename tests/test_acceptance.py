@@ -68,19 +68,18 @@ def verdict(number, ok, detail):
 
 
 def task_config(seed):
-    return SynthConfig.from_longtail(
+    # validation and test reuse the labeled gamma
+    return SynthConfig(
         num_classes=3,
         dim=DIM,
-        n_max_labeled=43,
-        gamma_labeled=10.0,
-        n_max_unlabeled=1413,
-        gamma_unlabeled=10.0,
-        n_max_valid=60,
-        n_max_test=200,
         separation=SEPARATION,
         noise_sigma=NOISE_SIGMA,
         aug_sigma=AUG_SIGMA,
         seed=seed,
+        labeled_counts=longtail_counts(43, 10.0, 3),
+        unlabeled_counts=longtail_counts(1413, 10.0, 3),
+        valid_counts=longtail_counts(60, 10.0, 3),
+        test_counts=longtail_counts(200, 10.0, 3),
     )
 
 

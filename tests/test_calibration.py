@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from qamatch.calibration import (
-    DEFAULT_WINDOW,
-    MarginalEstimator,
-    calibrate,
-    pseudo_label,
-    sharpen,
-)
+from qamatch.calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
 from qamatch.errors import ParameterError, ShapeError
 
 # frozen 50-digit oracle: [0.5,0.3,0.2] * [0.658,0.212,0.130] normalized
@@ -195,16 +189,16 @@ def test_sharpen_rejects_nonpositive_temperature():
 
 
 # ---------------------------------------------------------------------------
-# composed pipeline
+# composed pipeline: the trainer's pseudo-labels are sharpen(calibrate(...))
 
 
 def test_pseudo_label_composition_frozen_value():
     prior = np.array([0.658, 0.212, 0.130])
     uniform = np.full(3, 1.0 / 3.0)
-    out = pseudo_label(np.array([0.5, 0.3, 0.2]), prior, uniform, 0.5)
+    out = sharpen(calibrate(np.array([0.5, 0.3, 0.2]), prior, uniform), 0.5)
     np.testing.assert_allclose(out, PIPELINE, atol=1e-12)
 
 
 def test_pseudo_label_uniform_inputs_stay_uniform():
     u = np.full(3, 1.0 / 3.0)
-    np.testing.assert_allclose(pseudo_label(u, u, u, 0.5), u, atol=1e-12)
+    np.testing.assert_allclose(sharpen(calibrate(u, u, u), 0.5), u, atol=1e-12)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -22,8 +23,9 @@ from qamatch.cli import (
     resolve_train_config,
 )
 from qamatch.data import labeled_matrix, load_dataset
+from qamatch.metrics import evaluate_model
 from qamatch.numerics import load_model
-from qamatch.trainer import REPORT_KEYS, TrainConfig, evaluate_checkpoint, write_report
+from qamatch.trainer import REPORT_KEYS, TrainConfig, write_report
 
 
 def format_value(value):
@@ -96,7 +98,7 @@ def test_train_writes_expected_files(run_dir):
         assert (run_dir / name).exists()
 
 
-def test_eval_matches_evaluate_checkpoint(data_dir, run_dir, capsys):
+def test_eval_matches_evaluate_model(data_dir, run_dir, capsys):
     rc = main([
         "eval", "--model", str(run_dir / "model.qam"),
         "--data", str(data_dir / "train.jsonl"),
@@ -105,7 +107,7 @@ def test_eval_matches_evaluate_checkpoint(data_dir, run_dir, capsys):
     printed = json.loads(capsys.readouterr().out)
     header, labeled, _ = load_dataset(data_dir / "train.jsonl")
     X, y = labeled_matrix(labeled)
-    direct = evaluate_checkpoint(load_model(run_dir / "model.qam"), X, y, header.num_classes)
+    direct = evaluate_model(load_model(run_dir / "model.qam"), X, y, header.num_classes)
     assert printed == json.loads(json.dumps(direct))
     assert 0.0 <= printed["accuracy"] <= 1.0
     assert 0.0 <= printed["weighted_f1"] <= 1.0
@@ -191,6 +193,39 @@ def test_divergence_exit_code_and_snapshot(data_dir, tmp_path):
     assert rc == EXIT_DIVERGED
     snap = json.loads((out / "snapshot.json").read_text())
     assert snap["iteration"] >= 1 and "loss_total" in snap
+
+
+# alpha = 0.001: both Gamma variates of a lambda draw underflow to 0.0;
+# scale_mix = 1e308: the sum over a view's rows overflows a float, and with
+# one row per batch the sum of the three views' finite losses does
+@pytest.mark.parametrize("override", [
+    {"alpha": 0.001},
+    {"scale_mix": 1e308},
+    {"scale_mix": 1e308, "unlabeled_batch": 1},
+])
+def test_non_finite_loss_exits_diverged_without_traceback(data_dir, tmp_path, override):
+    cfg = write_cfg(tmp_path / "t.cfg", **{**TRAIN_KW, **override})
+    out = tmp_path / "diverged"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qamatch.cli", "train",
+         "--data", str(data_dir), "--out", str(out), "--config", cfg],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_DIVERGED, proc.stderr
+    assert (out / "snapshot.json").exists()
+    assert "Traceback" not in proc.stderr
+
+
+def test_validation_class_names_mismatch_is_data_error(data_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    valid = data / "valid.jsonl"
+    valid.write_text(valid.read_text().replace('"class2"', '"other"'))
+    out = tmp_path / "o"
+    rc = main(["train", "--data", str(data), "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert "disagrees" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qamatch.cli import main
 from qamatch.data import (
     DatasetHeader,
     Example,
@@ -100,8 +101,7 @@ def test_header_validation():
         DatasetHeader(3, ["a", "b"], [1])
     with pytest.raises(DataFormatError):
         DatasetHeader(3, ["a", "b"], [1, -1])
-    header = DatasetHeader(3, ["a", "b"], [3, 1])
-    np.testing.assert_allclose(header.label_distribution(), [0.75, 0.25])
+    assert DatasetHeader(3, ["a", "b"], [3, 1]).num_classes == 2
 
 
 def test_round_trip_is_bitwise(tmp_path):
@@ -306,17 +306,18 @@ def test_synth_config_validation():
     assert cfg.unlabeled_counts == [0, 0, 0]
 
 
-def test_from_longtail_builds_reference_task():
-    cfg = SynthConfig.from_longtail(
-        3, 16, 43, 10, 1413, 10, 60, 200,
-        separation=2.0, noise_sigma=1.0, aug_sigma=0.3, seed=0,
-    )
-    assert cfg.labeled_counts == [43, 13, 4]
-    assert cfg.unlabeled_counts == [1413, 446, 141]
-    assert cfg.valid_counts == [60, 18, 6]
-    assert cfg.test_counts == [200, 63, 20]
-    assert sum(cfg.labeled_counts) == 60
-    assert sum(cfg.unlabeled_counts) == 2000
+def test_generate_defaults_build_reference_task(tmp_path):
+    # valid and test reuse the labeled gamma
+    assert main(["generate", "--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert cfg["labeled_counts"] == [43, 13, 4]
+    assert cfg["unlabeled_counts"] == [1413, 446, 141]
+    assert cfg["valid_counts"] == [60, 18, 6]
+    assert cfg["test_counts"] == [200, 63, 20]
+    assert sum(cfg["labeled_counts"]) == 60
+    assert sum(cfg["unlabeled_counts"]) == 2000
+    header, _, _ = load_dataset(tmp_path / "valid.jsonl")
+    assert header.labeled_counts == [60, 18, 6]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,18 @@ import numpy as np
 import pytest
 
 from qamatch.errors import ParameterError
-from qamatch.rebalance import balanced_cross_entropy, class_weights, effective_number_weight
+from qamatch.numerics import MlpClassifier, weighted_ce_gradient
+from qamatch.rebalance import class_weights, effective_number_weight
+
+
+def balanced_loss(logits, targets, labels, weight_vector):
+    """The trainer's labeled loss, mean_i w[y_i] H(t_i, p_i), for a one-layer
+    model whose logits on row i of the identity are ``logits[i]``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    model = MlpClassifier(logits.shape, [logits], [np.zeros(logits.shape[1])])
+    weights = np.asarray(weight_vector)[np.asarray(labels)]
+    loss, _ = weighted_ce_gradient(model, np.eye(logits.shape[0]), targets, weights)
+    return loss
 
 
 def test_beta_zero_means_no_reweighting():
@@ -88,7 +99,7 @@ def test_balanced_loss_frozen_example():
     # with labels 0 and 1; frozen 50-digit oracle for the weighted mean
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     preds = np.array([[0.8, 0.2], [0.4, 0.6]])
-    loss = balanced_cross_entropy(targets, preds, [0, 1], class_weights([3, 1], 0.5))
+    loss = balanced_loss(np.log(preds), targets, [0, 1], class_weights([3, 1], 0.5))
     assert loss == pytest.approx(0.3191681122584838, abs=1e-14)
 
 
@@ -97,12 +108,13 @@ def test_balanced_loss_uniform_weights_is_plain_ce():
     preds = rng.dirichlet(np.ones(3), size=8)
     labels = rng.integers(0, 3, size=8)
     targets = np.eye(3)[labels]
-    weighted = balanced_cross_entropy(targets, preds, labels, np.ones(3))
+    weighted = balanced_loss(np.log(preds), targets, labels, np.ones(3))
     plain = np.mean([-math.log(p[y]) for p, y in zip(preds, labels)])
     assert weighted == pytest.approx(plain, rel=1e-12)
 
 
 def test_balanced_loss_zero_for_perfect_one_hot_predictions():
+    # logits 1000 apart give exactly one-hot predictions
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss = balanced_cross_entropy(targets, targets, [0, 1], np.array([2.0, 5.0]))
+    loss = balanced_loss(1000.0 * targets, targets, [0, 1], np.array([2.0, 5.0]))
     assert loss == 0.0

@@ -1,5 +1,5 @@
 """Latent-space mixing tests: blend geometry, draw statistics, and the
-standalone consistency losses."""
+consistency losses as the trainer computes them with weighted_ce_gradient."""
 
 import math
 
@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from qamatch.errors import ParameterError, ShapeError
-from qamatch.numerics import MlpClassifier
-from qamatch.softmix import (
-    VIEW_NAMES,
-    anchor_consistency_loss,
-    draw_lambda,
-    mix_consistency_loss,
-    mix_views,
-)
+from qamatch.numerics import MlpClassifier, weighted_ce_gradient
+from qamatch.softmix import VIEW_NAMES, draw_lambda, mix_views
 
 
 def three_views(n, d, seed=0, jitter=0.3):
@@ -155,6 +149,15 @@ def test_mix_views_determinism_and_validation():
 # consistency losses
 
 
+def anchor_loss(model, view, targets):
+    return weighted_ce_gradient(model, view, targets, 1.0)[0]
+
+
+def mix_loss(model, mixed, targets):
+    views = (mixed.original, mixed.question, mixed.context)
+    return math.fsum(anchor_loss(model, view, targets) for view in views)
+
+
 def test_mix_loss_is_three_entropies_at_the_fixed_point():
     # zero model predicts uniformly; uniform pseudo-targets give H(u, u)
     d, C = 4, 3
@@ -162,7 +165,7 @@ def test_mix_loss_is_three_entropies_at_the_fixed_point():
     base = np.random.default_rng(19).normal(size=(6, d))
     mixed = mix_views(base, base, base, 0.75, np.random.default_rng(20))
     targets = np.full((6, C), 1.0 / C)
-    loss = mix_consistency_loss(model, mixed, targets)
+    loss = mix_loss(model, mixed, targets)
     assert loss == pytest.approx(3.0 * math.log(C), rel=1e-12)
 
 
@@ -171,7 +174,7 @@ def test_anchor_loss_uniform_case():
     model = MlpClassifier((d, C), [np.zeros((d, C))], [np.zeros(C)])
     X = np.random.default_rng(21).normal(size=(4, d))
     targets = np.full((4, C), 1.0 / C)
-    assert anchor_consistency_loss(model, X, targets) == pytest.approx(
+    assert anchor_loss(model, X, targets) == pytest.approx(
         math.log(C), rel=1e-12
     )
 
@@ -189,11 +192,11 @@ def test_losses_match_scalar_recomputation():
     expected_m = 0.0
     for view in (mixed.original, mixed.question, mixed.context):
         expected_m += sum(ce(t, model.forward(x)) for t, x in zip(targets, view)) / 5
-    assert mix_consistency_loss(model, mixed, targets) == pytest.approx(
+    assert mix_loss(model, mixed, targets) == pytest.approx(
         expected_m, abs=1e-10
     )
     expected_c = sum(ce(t, model.forward(x)) for t, x in zip(targets, vq)) / 5
-    assert anchor_consistency_loss(model, vq, targets) == pytest.approx(
+    assert anchor_loss(model, vq, targets) == pytest.approx(
         expected_c, abs=1e-10
     )
 
@@ -205,5 +208,5 @@ def test_losses_nonnegative_and_zero_at_matching_one_hot():
     X = np.zeros((2, d))
     targets = np.array([[1.0, 0.0], [1.0, 0.0]])
     mixed = mix_views(X, X, X, 0.75, np.random.default_rng(25))
-    assert mix_consistency_loss(model, mixed, targets) == pytest.approx(0.0, abs=1e-12)
-    assert anchor_consistency_loss(model, X, targets) == pytest.approx(0.0, abs=1e-12)
+    assert mix_loss(model, mixed, targets) == pytest.approx(0.0, abs=1e-12)
+    assert anchor_loss(model, X, targets) == pytest.approx(0.0, abs=1e-12)

@@ -8,6 +8,7 @@ import pytest
 
 from qamatch.calibration import EPS_DIV
 from qamatch.data import (
+    DatasetHeader,
     SynthConfig,
     labeled_matrix,
     load_dataset,
@@ -29,7 +30,6 @@ from qamatch.trainer import (
     TrainConfig,
     build_trainer,
     read_report,
-    train,
     write_report,
 )
 
@@ -359,10 +359,10 @@ def test_report_rejects_malformed_and_misordered(tmp_path):
 def test_same_seed_same_report_and_model(task_dir):
     header, labeled, unlabeled, vh, vr, truth = load_task(task_dir)
     cfg = base_config(iterations=30)
-    m1, r1 = train(cfg, header, labeled, unlabeled, vh, vr, truth)
-    m2, r2 = train(cfg, header, labeled, unlabeled, vh, vr, truth)
-    assert json.dumps(r1) == json.dumps(r2)
-    for wa, wb in zip(m1.weights, m2.weights):
+    t1 = build_trainer(cfg, header, labeled, unlabeled, vh, vr, truth)
+    t2 = build_trainer(cfg, header, labeled, unlabeled, vh, vr, truth)
+    assert json.dumps(t1.run()) == json.dumps(t2.run())
+    for wa, wb in zip(t1.model.weights, t2.model.weights):
         np.testing.assert_array_equal(wa, wb)
 
 
@@ -399,6 +399,16 @@ def test_build_trainer_rejects_unknown_truth_label(task_dir):
         build_trainer(base_config(), header, labeled, unlabeled, None, None, truth)
 
 
+def test_build_trainer_rejects_disagreeing_validation_header(task_dir):
+    header, labeled, unlabeled, vh, vr, truth = load_task(task_dir)
+    for bad in (
+        DatasetHeader(vh.dim, ["x", "y", "z"], vh.labeled_counts),
+        DatasetHeader(vh.dim + 1, vh.class_names, vh.labeled_counts),
+    ):
+        with pytest.raises(DataFormatError, match="disagrees"):
+            build_trainer(base_config(), header, labeled, unlabeled, bad, vr, truth)
+
+
 # ---------------------------------------------------------------------------
 # the synthetic task is learnable before any semi-supervised claim is made
 
@@ -422,7 +432,9 @@ def test_separated_blobs_are_learnable_supervised(tmp_path):
         iterations=300, labeled_batch=16, lr=0.05, seed=0,
         use_softmix=False, use_anchor=False, eval_interval=100,
     )
-    model, _ = train(tcfg, header, labeled, [], None, None, None)
+    t = build_trainer(tcfg, header, labeled, [], None, None, None)
+    t.run()
+    model = t.model
     test_header, test_records, _ = load_dataset(tmp_path / "test.jsonl")
     X, y = labeled_matrix(test_records)
     record = evaluate_model(model, X, y, test_header.num_classes)
