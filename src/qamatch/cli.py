@@ -15,6 +15,7 @@ controls stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -25,14 +26,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import trainer as trainer_mod
-from .errors import (
-    DataFormatError,
-    DivergenceError,
-    ParameterError,
-    QAMatchError,
-    ShapeError,
-    UndefinedMetricError,
-)
+from .errors import DataFormatError, DivergenceError, ParameterError, QAMatchError, ShapeError
 from .metrics import evaluate_model
 from .numerics import load_model, save_model
 from .trainer import REPORT_KEYS, TrainConfig
@@ -43,13 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
-
-ABLATION_TOGGLES = {
-    "rebalance": "use_rebalance",
-    "calibration": "use_calibration",
-    "softmix": "use_softmix",
-    "anchor": "use_anchor",
-}
 
 
 # ---------------------------------------------------------------- config --
@@ -83,6 +70,8 @@ def read_config_file(path) -> dict:
             lines = fh.readlines()
     except OSError as e:
         raise ParameterError(f"cannot read config file {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"cannot read config file {path}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,33 +100,11 @@ def resolve_config(schema: dict, defaults: dict, entries: dict, where: str) -> d
     return resolved
 
 
+# Every TrainConfig field is a training key, parsed by the type of its default.
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_int_list}
 TRAIN_SCHEMA = {
-    "temperature": float,
-    "alpha": float,
-    "beta": float,
-    "window": int,
-    "lr": float,
-    "momentum": float,
-    "labeled_batch": int,
-    "unlabeled_batch": int,
-    "iterations": int,
-    "seed": int,
-    "hidden_dims": _parse_int_list,
-    "eval_interval": int,
-    "use_rebalance": _parse_bool,
-    "use_calibration": _parse_bool,
-    "use_softmix": _parse_bool,
-    "use_anchor": _parse_bool,
-    "rescale_weights": _parse_bool,
-    "scale_supervised": float,
-    "scale_mix": float,
-    "scale_anchor": float,
+    f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(TrainConfig)
 }
-
-
-def _train_defaults() -> dict:
-    cfg = TrainConfig()
-    return {key: getattr(cfg, key) for key in TRAIN_SCHEMA}
 
 
 GENERATE_SCHEMA = {
@@ -239,16 +206,6 @@ def _write_manifest(out_dir, payload: dict) -> str:
     return path
 
 
-def _jsonable(value):
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 # -------------------------------------------------------------- commands --
 
 def cmd_generate(args) -> int:
@@ -298,20 +255,7 @@ def cmd_generate(args) -> int:
     )
     manifest = {
         "command": "generate",
-        "config": {
-            "preset": preset_name,
-            "num_classes": cfg.num_classes,
-            "dim": cfg.dim,
-            "class_names": cfg.class_names,
-            "separation": cfg.separation,
-            "noise_sigma": cfg.noise_sigma,
-            "aug_sigma": cfg.aug_sigma,
-            "seed": cfg.seed,
-            "labeled_counts": cfg.labeled_counts,
-            "unlabeled_counts": cfg.unlabeled_counts,
-            "valid_counts": cfg.valid_counts,
-            "test_counts": cfg.test_counts,
-        },
+        "config": {"preset": preset_name, **dataclasses.asdict(cfg)},
         "outputs": {
             os.path.basename(p): _sha256(p) for p in sorted(paths.values())
         },
@@ -323,7 +267,7 @@ def cmd_generate(args) -> int:
 def resolve_train_config(args) -> TrainConfig:
     entries = read_config_file(args.config) if args.config else {}
     resolved = resolve_config(
-        TRAIN_SCHEMA, _train_defaults(), entries, args.config or "defaults"
+        TRAIN_SCHEMA, dataclasses.asdict(TrainConfig()), entries, args.config or "defaults"
     )
     if args.seed is not None:
         resolved["seed"] = args.seed
@@ -331,7 +275,7 @@ def resolve_train_config(args) -> TrainConfig:
         resolved["use_softmix"] = False
         resolved["use_anchor"] = False
     if args.ablate:
-        resolved[ABLATION_TOGGLES[args.ablate]] = False
+        resolved["use_" + args.ablate] = False
     resolved["hidden_dims"] = tuple(resolved["hidden_dims"]) or TrainConfig().hidden_dims
     return TrainConfig(**resolved)
 
@@ -374,7 +318,7 @@ def cmd_train(args) -> int:
     trainer_mod.write_report(records, report_path)
     manifest = {
         "command": "train",
-        "config": {key: _jsonable(getattr(config, key)) for key in TRAIN_SCHEMA},
+        "config": dataclasses.asdict(config),
         "data": {
             "train": train_path,
             "valid": valid_path if valid_records is not None else None,
@@ -461,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable both unlabeled losses (labeled data only)",
     )
     t.add_argument(
-        "--ablate", choices=sorted(ABLATION_TOGGLES),
+        "--ablate", choices=sorted(k[4:] for k in TRAIN_SCHEMA if k.startswith("use_")),
         help="disable one component for ablation runs",
     )
     t.set_defaults(func=cmd_train)
@@ -491,11 +435,9 @@ def main(argv=None) -> int:
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ShapeError, UndefinedMetricError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
-        print(f"error: {e.filename or e}: no such file", file=sys.stderr)
+    except OSError as e:
+        where = f"{e.filename}: " if e.filename else ""
+        print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as e:
         print(f"error: {e}", file=sys.stderr)

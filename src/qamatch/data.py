@@ -43,6 +43,11 @@ RECORD_KEYS = ("id", "label", "q", "c", "q_aug", "c_aug")
 _FLOOR_GUARD = 1e-9
 
 
+def _is_int(value) -> bool:
+    # JSON bools are not integers, as for record labels
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class DatasetHeader:
     dim: int
@@ -50,9 +55,16 @@ class DatasetHeader:
     labeled_counts: list
 
     def __post_init__(self):
+        if not _is_int(self.dim):
+            raise DataFormatError(f"dim must be an integer, got {self.dim!r}")
+        names, counts = self.class_names, self.labeled_counts
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise DataFormatError(f"class_names must be a list of strings, got {names!r}")
+        if not isinstance(counts, (list, tuple)) or not all(_is_int(c) for c in counts):
+            raise DataFormatError(f"labeled_counts must be a list of integers, got {counts!r}")
         self.dim = int(self.dim)
-        self.class_names = [str(n) for n in self.class_names]
-        self.labeled_counts = [int(c) for c in self.labeled_counts]
+        self.class_names = list(names)
+        self.labeled_counts = [int(c) for c in counts]
         if self.dim < 1:
             raise DataFormatError(f"dim must be >= 1, got {self.dim}")
         if len(self.class_names) < 2:
@@ -95,13 +107,23 @@ def _parse_vector(raw, dim, what, rid, lineno):
         )
     try:
         vec = np.array([float(v) for v in raw], dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DataFormatError(
             f"line {lineno}: record {rid!r}: {what} has a non-numeric entry"
         ) from None
     if not np.all(np.isfinite(vec)):
         raise DataFormatError(f"line {lineno}: record {rid!r}: {what} is not finite")
     return vec
+
+
+def read_text(path) -> str:
+    """Whole UTF-8 text file; undecodable bytes are a DataFormatError naming
+    the path (a UnicodeDecodeError does not carry it)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def load_dataset(path):
@@ -111,8 +133,7 @@ def load_dataset(path):
     id once one is known. Labeled per-class counts are checked against the
     header at the end.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header line")
 
@@ -244,17 +265,15 @@ def write_dataset(path, header: DatasetHeader, records) -> None:
 def load_truth(path) -> dict:
     """Sidecar parser: one "id<TAB>class_name" line per unlabeled record."""
     truth = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
-                raise DataFormatError(f"{path}: line {lineno}: expected 'id<TAB>label'")
-            if parts[0] in truth:
-                raise DataFormatError(f"{path}: line {lineno}: duplicate id {parts[0]!r}")
-            truth[parts[0]] = parts[1]
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            raise DataFormatError(f"{path}: line {lineno}: expected 'id<TAB>label'")
+        if parts[0] in truth:
+            raise DataFormatError(f"{path}: line {lineno}: duplicate id {parts[0]!r}")
+        truth[parts[0]] = parts[1]
     return truth
 
 
@@ -311,12 +330,12 @@ class SynthConfig:
                 f"dim {self.dim} < num_classes {self.num_classes}: orthogonal "
                 f"class means need one axis per class"
             )
-        if not self.separation > 0:
-            raise ParameterError("separation must be positive")
-        if not self.noise_sigma > 0:
-            raise ParameterError("noise_sigma must be positive")
-        if self.aug_sigma < 0:
-            raise ParameterError("aug_sigma must be non-negative")
+        if not 0 < self.separation < math.inf:
+            raise ParameterError("separation must be positive and finite")
+        if not 0 < self.noise_sigma < math.inf:
+            raise ParameterError("noise_sigma must be positive and finite")
+        if not 0 <= self.aug_sigma < math.inf:
+            raise ParameterError("aug_sigma must be non-negative and finite")
         if not self.class_names:
             self.class_names = [f"class{k}" for k in range(self.num_classes)]
         if len(self.class_names) != self.num_classes:
@@ -335,9 +354,10 @@ class SynthConfig:
                 raise ParameterError(f"{name} entries must be >= {low}")
 
 
-def _draw_split(cfg, rng, counts, prefix, augmented, labeled):
-    """Draw one split; per example the order is q, c, then optionally
-    q_aug, c_aug. Classes are laid out in index order."""
+def _draw_split(cfg, rng, counts, prefix, augmented):
+    """Draw one split, every record labeled with its class; per example the
+    order is q, c, then optionally q_aug, c_aug. Classes are laid out in
+    index order."""
     means = np.zeros((cfg.num_classes, cfg.dim))
     for k in range(cfg.num_classes):
         means[k, k] = cfg.separation
@@ -354,7 +374,7 @@ def _draw_split(cfg, rng, counts, prefix, augmented, labeled):
             records.append(
                 Example(
                     example_id=f"{prefix}-{serial:05d}",
-                    label=k if labeled else None,
+                    label=k,
                     question=q,
                     context=c,
                     question_aug=q_aug,
@@ -374,18 +394,10 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
     paths keyed by role.
     """
     rng = np.random.default_rng(cfg.seed)
-    labeled = _draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False, labeled=True)
-    unlabeled = _draw_split(cfg, rng, cfg.unlabeled_counts, "unl", augmented=True, labeled=False)
-    valid = _draw_split(cfg, rng, cfg.valid_counts, "val", augmented=False, labeled=True)
-    test = _draw_split(cfg, rng, cfg.test_counts, "tst", augmented=False, labeled=True)
-
-    # truth is recorded before the labels are stripped for the train file
-    truth_lines = []
-    serial = 0
-    for k, n in enumerate(cfg.unlabeled_counts):
-        for _ in range(n):
-            truth_lines.append(f"unl-{serial:05d}\t{cfg.class_names[k]}\n")
-            serial += 1
+    labeled = _draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False)
+    unlabeled = _draw_split(cfg, rng, cfg.unlabeled_counts, "unl", augmented=True)
+    valid = _draw_split(cfg, rng, cfg.valid_counts, "val", augmented=False)
+    test = _draw_split(cfg, rng, cfg.test_counts, "tst", augmented=False)
 
     paths = {
         "train": os.path.join(out_dir, "train.jsonl"),
@@ -393,6 +405,11 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
         "test": os.path.join(out_dir, "test.jsonl"),
         "truth": os.path.join(out_dir, "unlabeled-truth.tsv"),
     }
+    # the truth sidecar keeps the labels the train file strips
+    with open(paths["truth"], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{r.example_id}\t{cfg.class_names[r.label]}\n" for r in unlabeled)
+    for r in unlabeled:
+        r.label = None
     write_dataset(
         paths["train"],
         DatasetHeader(cfg.dim, cfg.class_names, cfg.labeled_counts),
@@ -404,8 +421,6 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
     write_dataset(
         paths["test"], DatasetHeader(cfg.dim, cfg.class_names, cfg.test_counts), test
     )
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        fh.writelines(truth_lines)
     return paths
 
 

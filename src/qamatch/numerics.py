@@ -239,13 +239,17 @@ def load_model(path) -> MlpClassifier:
         blob = fh.read()
     if blob[:4] != MODEL_MAGIC:
         raise DataFormatError(f"{path}: bad magic bytes, not a model file")
-    off = 4
-    (ndims,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    if len(blob) < 8:
+        raise DataFormatError(f"{path}: truncated header")
+    (ndims,) = struct.unpack_from("<I", blob, 4)
     if ndims < 2 or ndims > 64:
         raise DataFormatError(f"{path}: implausible layer count {ndims}")
-    dims = struct.unpack_from(f"<{ndims}I", blob, off)
-    off += 4 * ndims
+    off = 8 + 4 * ndims
+    if len(blob) < off:
+        raise DataFormatError(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{ndims}I", blob, 8)
+    if 0 in dims:
+        raise DataFormatError(f"{path}: zero layer dimension in {list(dims)}")
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         need = 8 * (fan_in * fan_out + fan_out)

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
-from .data import labeled_matrix, unlabeled_matrices
+from .data import labeled_matrix, read_text, unlabeled_matrices
 from .errors import DataFormatError, DivergenceError, ParameterError, ShapeError
 from .metrics import evaluate_model, kl_divergence
 from .numerics import MlpClassifier, fsum_nonneg, sgd_step, weighted_ce_gradient
@@ -98,10 +98,12 @@ class TrainConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if any(h < 1 for h in self.hidden_dims):
             raise ParameterError(f"hidden dims must be >= 1, got {self.hidden_dims}")
-        for name in ("scale_supervised", "scale_mix", "scale_anchor"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be a finite non-negative number")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(v):
+                raise ParameterError(f"{f.name} must be finite, got {v}")
+            if f.name.startswith("scale_") and v < 0:
+                raise ParameterError(f"{f.name} must be non-negative, got {v}")
 
 
 @dataclass
@@ -119,6 +121,15 @@ class StepResult:
     marginal_used: np.ndarray | None
     pseudo_targets: np.ndarray | None
     mixed: MixedViews | None
+
+
+def _mean(values) -> float:
+    """Exact mean of finite values; where their sum overflows a float, the
+    terms are divided by the count before summing, so the mean stays finite."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
 
 
 class _Cycler:
@@ -354,9 +365,9 @@ class QAMatchTrainer:
                 records.append(
                     {
                         "iteration": self.iteration,
-                        "loss_rebalanced": math.fsum(sup_losses) / len(sup_losses),
-                        "loss_mix": math.fsum(mix_losses) / len(mix_losses),
-                        "loss_anchor": math.fsum(anchor_losses) / len(anchor_losses),
+                        "loss_rebalanced": _mean(sup_losses),
+                        "loss_mix": _mean(mix_losses),
+                        "loss_anchor": _mean(anchor_losses),
                         "pseudo_label_accuracy": (
                             pseudo_hits / pseudo_seen if pseudo_seen else None
                         ),
@@ -433,21 +444,28 @@ def write_report(records, path) -> None:
 
 
 def read_report(path) -> list:
+    """Parse a report; every field must be a number (not a bool) or null."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
-            if not isinstance(rec, dict) or tuple(rec.keys()) != REPORT_KEYS:
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
+        if not isinstance(rec, dict) or tuple(rec.keys()) != REPORT_KEYS:
+            raise DataFormatError(
+                f"{path}: line {lineno}: report schema mismatch, expected keys "
+                f"{list(REPORT_KEYS)}"
+            )
+        for key, value in rec.items():
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
                 raise DataFormatError(
-                    f"{path}: line {lineno}: report schema mismatch, expected keys "
-                    f"{list(REPORT_KEYS)}"
+                    f"{path}: line {lineno}: {key} must be a number or null, got {value!r}"
                 )
-            records.append(rec)
+        records.append(rec)
     if not records:
         raise DataFormatError(f"{path}: empty report")
     return records

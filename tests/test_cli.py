@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -229,6 +231,115 @@ def test_validation_class_names_mismatch_is_data_error(data_dir, tmp_path, capsy
 
 
 # ---------------------------------------------------------------------------
+# hostile input: every row exits with a documented code and no traceback
+
+
+def put(path, blob):
+    path.write_bytes(blob)
+    return str(path)
+
+
+def train_with(**override):
+    def setup(tmp_path, data_dir):
+        cfg = write_cfg(tmp_path / "t.cfg", **{**TRAIN_KW, **override})
+        return ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"), "--config", cfg]
+    return setup
+
+
+def generate_with(**override):
+    def setup(tmp_path, data_dir):
+        cfg = write_cfg(tmp_path / "g.cfg", **{**GEN_KW, **override})
+        return ["generate", "--out", str(tmp_path / "o"), "--config", cfg]
+    return setup
+
+
+def train_on_edited(name, edit):
+    """Train on a copy of the dataset whose file ``name`` is rewritten by ``edit``."""
+    def setup(tmp_path, data_dir):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        blob = (data / name).read_bytes()
+        edited = edit(blob)
+        assert edited != blob
+        put(data / name, edited)
+        return ["train", "--data", str(data), "--out", str(tmp_path / "o")]
+    return setup
+
+
+def eval_model_file(blob):
+    def setup(tmp_path, data_dir):
+        model = put(tmp_path / "model.qam", blob)
+        return ["eval", "--model", model, "--data", str(data_dir / "test.jsonl")]
+    return setup
+
+
+def report_of(blob):
+    return lambda tmp_path, data_dir: ["report", put(tmp_path / "r.jsonl", blob)]
+
+
+REPORT_RECORD = {**dict.fromkeys(REPORT_KEYS, 0.5), "iteration": 10}
+
+HOSTILE_INPUTS = [
+    pytest.param(train_with(alpha=math.inf), EXIT_USAGE, id="alpha-inf"),
+    pytest.param(train_with(lr=math.inf), EXIT_USAGE, id="lr-inf"),
+    pytest.param(train_with(temperature=math.inf), EXIT_USAGE, id="temperature-inf"),
+    pytest.param(generate_with(separation=math.inf), EXIT_USAGE, id="separation-inf"),
+    pytest.param(generate_with(noise_sigma=math.inf), EXIT_USAGE, id="noise_sigma-inf"),
+    pytest.param(generate_with(aug_sigma=math.nan), EXIT_USAGE, id="aug_sigma-nan"),
+    pytest.param(
+        lambda tmp_path, data_dir: ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
+                                    "--config", put(tmp_path / "t.cfg", b"seed = \xff\n")],
+        EXIT_USAGE, id="config-not-utf8",
+    ),
+    # per-step loss_mix stays near 1.4e307, so the 20-step interval sum overflows
+    pytest.param(
+        train_with(scale_mix=5e306, unlabeled_batch=2, lr=1e-315,
+                   iterations=20, eval_interval=20),
+        EXIT_OK, id="interval-mean-overflow",
+    ),
+    pytest.param(
+        lambda tmp_path, data_dir: ["generate", "--out", put(tmp_path / "taken", b""),
+                                    "--config", write_cfg(tmp_path / "g.cfg", **GEN_KW)],
+        EXIT_DATA, id="out-is-a-file",
+    ),
+    pytest.param(lambda tmp_path, data_dir: ["report", str(tmp_path)], EXIT_DATA,
+                 id="report-is-a-directory"),
+    pytest.param(train_on_edited("train.jsonl", lambda b: b + b"\xff\n"), EXIT_DATA,
+                 id="train-not-utf8"),
+    pytest.param(train_on_edited("unlabeled-truth.tsv", lambda b: b + b"\xff\tclass0\n"),
+                 EXIT_DATA, id="truth-not-utf8"),
+    pytest.param(report_of(json.dumps(REPORT_RECORD).encode() + b"\n\xff\n"), EXIT_DATA,
+                 id="report-not-utf8"),
+    pytest.param(train_on_edited("train.jsonl", lambda b: b.replace(b'"dim":6', b'"dim":"x"')),
+                 EXIT_DATA, id="header-dim-string"),
+    pytest.param(train_on_edited("train.jsonl", lambda b: b.replace(b'"dim":6', b'"dim":1e400')),
+                 EXIT_DATA, id="header-dim-1e400"),
+    pytest.param(
+        train_on_edited("train.jsonl",
+                        lambda b: re.sub(rb'"class_names":\[[^]]*\]', b'"class_names":5', b, 1)),
+        EXIT_DATA, id="header-class_names-int",
+    ),
+    pytest.param(
+        train_on_edited("train.jsonl",
+                        lambda b: re.sub(rb'"q":\[[^,]*', b'"q":[1' + b"0" * 400, b, 1)),
+        EXIT_DATA, id="vector-entry-huge-int",
+    ),
+    pytest.param(report_of(json.dumps({**REPORT_RECORD, "val_accuracy": "x"}).encode()),
+                 EXIT_DATA, id="report-metric-string"),
+    pytest.param(eval_model_file(b"QAM1"), EXIT_DATA, id="model-magic-only"),
+    pytest.param(eval_model_file(b"QAM1" + struct.pack("<4I", 3, 12, 0, 3) + bytes(8 * 3)),
+                 EXIT_DATA, id="model-zero-layer-dim"),
+]
+
+
+@pytest.mark.parametrize("setup,expected", HOSTILE_INPUTS)
+def test_hostile_input_exit_code_without_traceback(setup, expected, data_dir, tmp_path, capsys):
+    argv = setup(tmp_path, data_dir)
+    assert main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # config precedence: defaults < preset < config file < flags
 
 
@@ -451,3 +562,15 @@ def test_console_script_logs_at_info_level(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert "generated" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# docs
+
+
+def test_readme_configuration_table_names_every_training_key():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = {key for cell in rows for key in re.findall(r"`(\w+)`", cell)}
+    assert documented == set(TRAIN_SCHEMA)
