@@ -16,8 +16,6 @@ against itself.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .errors import ParameterError, ShapeError
@@ -30,7 +28,13 @@ DEFAULT_WINDOW = 128
 
 
 class MarginalEstimator:
-    """Sliding-window mean of batch-average prediction vectors."""
+    """Sliding-window mean of batch-average prediction vectors.
+
+    The window is a ring buffer of rows: update ``k`` (counting from 0)
+    writes row ``k % window``, so the first ``len(self)`` rows always hold
+    the most recent batch means. The buffer grows to ``window`` rows as
+    they are written, so a large window costs memory only when it fills.
+    """
 
     def __init__(self, num_classes: int, window: int = DEFAULT_WINDOW):
         if num_classes < 2:
@@ -39,10 +43,11 @@ class MarginalEstimator:
             raise ParameterError(f"window must be positive, got {window}")
         self.num_classes = int(num_classes)
         self.window = int(window)
-        self._batches: deque = deque(maxlen=self.window)
+        self._rows = np.empty((0, self.num_classes))
+        self._written = 0
 
     def __len__(self) -> int:
-        return len(self._batches)
+        return min(self._written, self.window)
 
     def update(self, batch_preds: np.ndarray) -> None:
         """Record one batch of predicted distributions.
@@ -52,21 +57,28 @@ class MarginalEstimator:
         """
         P = np.asarray(batch_preds, dtype=np.float64)
         if P.ndim == 1 and P.shape[0] == self.num_classes:
-            self._batches.append(P.copy())
-            return
-        if P.ndim != 2 or P.shape[1] != self.num_classes:
+            mean = P
+        elif P.ndim != 2 or P.shape[1] != self.num_classes:
             raise ShapeError(
                 f"expected (B, {self.num_classes}) predictions, got {P.shape}"
             )
-        if P.shape[0] == 0:
+        elif P.shape[0] == 0:
             raise ParameterError("cannot update the marginal with an empty batch")
-        self._batches.append(P.mean(axis=0))
+        else:
+            mean = P.mean(axis=0)
+        slot = self._written % self.window
+        if slot == len(self._rows):
+            grown = np.empty((min(2 * slot + 1, self.window), self.num_classes))
+            grown[:slot] = self._rows
+            self._rows = grown
+        self._rows[slot] = mean
+        self._written += 1
 
     def marginal(self) -> np.ndarray:
         """Current running marginal; uniform until the first update."""
-        if not self._batches:
+        if not self._written:
             return np.full(self.num_classes, 1.0 / self.num_classes)
-        return np.mean(np.stack(self._batches), axis=0)
+        return self._rows[: len(self)].mean(axis=0)
 
 
 def calibrate(

@@ -126,6 +126,17 @@ def read_text(path) -> str:
         raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def parse_json_line(path, lineno: int, line: str, what: str = "JSON"):
+    """One JSON value; malformed JSON, or an integer past Python's digit
+    limit for int conversion (a plain ValueError), is a DataFormatError."""
+    try:
+        return json.loads(line)
+    except ValueError as e:
+        raise DataFormatError(
+            f"{path}: line {lineno}: malformed {what} ({getattr(e, 'msg', e)})"
+        ) from None
+
+
 def load_dataset(path):
     """Parse a dataset file into (header, labeled records, unlabeled records).
 
@@ -137,10 +148,7 @@ def load_dataset(path):
     if not lines:
         raise DataFormatError(f"{path}: empty file, expected a header line")
 
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: line 1: malformed header JSON ({e.msg})") from None
+    head = parse_json_line(path, 1, lines[0], "header JSON")
     if not isinstance(head, dict) or sorted(head) != sorted(HEADER_KEYS):
         raise DataFormatError(
             f"{path}: line 1: header must have exactly the keys {list(HEADER_KEYS)}"
@@ -153,10 +161,7 @@ def load_dataset(path):
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
+        obj = parse_json_line(path, lineno, line)
         if not isinstance(obj, dict) or "id" not in obj or "label" not in obj:
             raise DataFormatError(f"{path}: line {lineno}: record needs id and label")
         unknown = set(obj) - set(RECORD_KEYS)

@@ -263,4 +263,6 @@ def load_model(path) -> MlpClassifier:
         biases.append(b.copy())
     if off != len(blob):
         raise DataFormatError(f"{path}: {len(blob) - off} trailing bytes")
+    if not all(np.isfinite(p).all() for p in (*weights, *biases)):
+        raise DataFormatError(f"{path}: non-finite model parameters")
     return MlpClassifier(dims, weights, biases)

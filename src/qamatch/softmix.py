@@ -14,16 +14,16 @@ bit-for-bit. Targets are never mixed: all three blended inputs train
 against the example's single pseudo-label. The trainer computes that
 consistency loss, with its gradient, through numerics.weighted_ce_gradient.
 
-Draw order per example is fixed: source index first, then lambda. The
-Beta draw is realized from two standard Gamma variates, g1 / (g1 + g2),
-which keeps the stream layout explicit and easy to replay. When both
-variates underflow to zero (tiny alpha) the coefficient is NaN, so the
-step's loss is non-finite and the trainer stops with a divergence.
+Draw order per batch of B examples is fixed: all B source indices first,
+then B x 2 standard Gamma variates, row i giving lambda_i = g1 / (g1 + g2)
+(a Beta(alpha, alpha) draw), which keeps the stream layout explicit and
+easy to replay. When both variates of a row underflow to zero (tiny alpha)
+its coefficient is NaN, so the step's loss is non-finite and the trainer
+stops with a divergence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +35,13 @@ from .errors import ParameterError, ShapeError
 VIEW_NAMES = ("original", "question", "context")
 
 
-def draw_lambda(alpha: float, rng: np.random.Generator) -> float:
-    """One Beta(alpha, alpha) variate via two standard Gamma draws."""
+def draw_lambda(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` Beta(alpha, alpha) variates from one (size, 2) standard Gamma draw."""
     if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
-    g1 = rng.standard_gamma(alpha)
-    g2 = rng.standard_gamma(alpha)
-    total = g1 + g2
-    return g1 / total if total > 0 else math.nan
+    g = rng.standard_gamma(alpha, size=(size, 2))
+    with np.errstate(invalid="ignore"):
+        return g[:, 0] / (g[:, 0] + g[:, 1])
 
 
 @dataclass
@@ -74,7 +73,7 @@ def mix_views(
     """Blend each example's three views against one of its own views.
 
     Accepts (B, d) matrices; a single example can be mixed by passing
-    1-row matrices. Per-example draws happen in row order.
+    1-row matrices. The draws are made for the whole batch at once.
     """
     vo = np.asarray(original, dtype=np.float64)
     vq = np.asarray(question, dtype=np.float64)
@@ -89,25 +88,19 @@ def mix_views(
         raise ParameterError("cannot mix an empty batch")
 
     n = vo.shape[0]
-    lambdas = np.empty(n)
-    sources = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        sources[i] = int(rng.integers(0, len(VIEW_NAMES)))
-        lambdas[i] = draw_lambda(alpha, rng)
+    sources = rng.integers(0, len(VIEW_NAMES), size=n)
+    lambdas = draw_lambda(alpha, rng, n)
 
-    views = (vo, vq, vc)
-    src_rows = np.empty_like(vo)
-    for s, view in enumerate(views):
-        mask = sources == s
-        src_rows[mask] = view[mask]
-
-    lam = lambdas[:, None]
-    mixed = [lam * v + (1.0 - lam) * src_rows for v in views]
+    rows = np.arange(n)
+    mixed = np.stack((vo, vq, vc))
+    src_rows = mixed[sources, rows]
+    # (v - src) * lambda + src, in place over the stacked views
+    mixed -= src_rows
+    mixed *= lambdas[:, None]
+    mixed += src_rows
     # the source view's own blend is the identity combination; assign it
     # exactly so the equality is bitwise, not merely within rounding
-    for s in range(len(views)):
-        mask = sources == s
-        mixed[s][mask] = views[s][mask]
+    mixed[sources, rows] = src_rows
     return MixedViews(
         original=mixed[0],
         question=mixed[1],

@@ -7,7 +7,8 @@ One step does, in order:
   3. predict on the unlabeled originals, calibrate against the labeled
      prior and the running prediction marginal, sharpen into pseudo-labels
      (constants from here on; no gradient flows through them),
-  4. draw the mixing source and coefficient per example and blend views,
+  4. draw the mixing sources for all B examples, then B x 2 Gamma
+     variates for their coefficients, and blend views,
   5. accumulate gradients of
         supervised term   mean_i w_{y_i} H(y_i, f(x_i))
         mixing term       mean_i sum_{v in views} H(pseudo_i, f(mixed_v_i))
@@ -33,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
-from .data import labeled_matrix, read_text, unlabeled_matrices
+from .data import labeled_matrix, parse_json_line, read_text, unlabeled_matrices
 from .errors import DataFormatError, DivergenceError, ParameterError, ShapeError
 from .metrics import evaluate_model, kl_divergence
 from .numerics import MlpClassifier, fsum_nonneg, sgd_step, weighted_ce_gradient
@@ -397,13 +398,16 @@ def build_trainer(
 ) -> QAMatchTrainer:
     """Assemble a trainer from loader output (and an optional truth sidecar).
 
-    Raises DataFormatError when ``valid_header`` disagrees with ``header``
-    on the vector width or the class names.
+    Raises DataFormatError when there are no labeled records, or when
+    ``valid_header`` disagrees with ``header`` on the vector width or the
+    class names.
     """
     if valid_header is not None and (
         valid_header.dim != header.dim or valid_header.class_names != header.class_names
     ):
         raise DataFormatError("validation file disagrees with training header")
+    if not labeled_records:
+        raise DataFormatError("training file has no labeled records")
     X, y = labeled_matrix(labeled_records)
     ids, orig, qview, cview = unlabeled_matrices(unlabeled_records)
     name_to_index = {n: i for i, n in enumerate(header.class_names)}
@@ -443,27 +447,32 @@ def write_report(records, path) -> None:
             fh.write("\n")
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def read_report(path) -> list:
-    """Parse a report; every field must be a number (not a bool) or null."""
+    """Parse a report; every field must be a finite number (not a bool) or null."""
     records = []
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataFormatError(f"{path}: line {lineno}: malformed JSON ({e.msg})") from None
+        rec = parse_json_line(path, lineno, line)
         if not isinstance(rec, dict) or tuple(rec.keys()) != REPORT_KEYS:
             raise DataFormatError(
                 f"{path}: line {lineno}: report schema mismatch, expected keys "
                 f"{list(REPORT_KEYS)}"
             )
         for key, value in rec.items():
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-            ):
+            if value is not None and not _is_finite_number(value):
                 raise DataFormatError(
-                    f"{path}: line {lineno}: {key} must be a number or null, got {value!r}"
+                    f"{path}: line {lineno}: {key} must be a finite number or null, "
+                    f"got {value!r:.40}"
                 )
         records.append(rec)
     if not records:

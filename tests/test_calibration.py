@@ -1,5 +1,7 @@
 """Calibration, sharpening, and running-marginal estimator tests."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,33 @@ def test_estimator_ring_buffer_eviction():
     np.testing.assert_allclose(est.marginal(), [0.5, 0.5], atol=1e-15)
     est.update(np.array([0.0, 1.0]))  # evicts the first entry
     np.testing.assert_allclose(est.marginal(), [0.0, 1.0], atol=1e-15)
+    assert len(est) == 2
+
+
+def test_estimator_matches_a_deque_of_the_last_window_batch_means():
+    rng = np.random.default_rng(30)
+    est = MarginalEstimator(3, window=7)
+    recent = deque(maxlen=7)
+    for k in range(1, 301):
+        if k % 3:
+            batch = rng.dirichlet(np.ones(3), size=int(rng.integers(1, 6)))
+            recent.append(batch.mean(axis=0))
+        else:
+            batch = rng.dirichlet(np.ones(3))
+            recent.append(batch)
+        est.update(batch)
+        assert len(est) == min(k, 7)
+        np.testing.assert_allclose(
+            est.marginal(), np.mean(np.stack(recent), axis=0), rtol=0, atol=1e-15
+        )
+
+
+def test_estimator_memory_follows_updates_not_window():
+    # a window far past any run length must not allocate its rows up front
+    est = MarginalEstimator(3, window=10**12)
+    est.update(np.array([0.5, 0.25, 0.25]))
+    est.update(np.array([[0.0, 0.5, 0.5]]))
+    np.testing.assert_allclose(est.marginal(), [0.25, 0.375, 0.375], atol=1e-15)
     assert len(est) == 2
 
 

@@ -329,6 +329,30 @@ HOSTILE_INPUTS = [
     pytest.param(eval_model_file(b"QAM1"), EXIT_DATA, id="model-magic-only"),
     pytest.param(eval_model_file(b"QAM1" + struct.pack("<4I", 3, 12, 0, 3) + bytes(8 * 3)),
                  EXIT_DATA, id="model-zero-layer-dim"),
+    pytest.param(report_of(json.dumps(REPORT_RECORD).replace("0.5", "1" + "0" * 400, 1).encode()),
+                 EXIT_DATA, id="report-metric-huge-int"),
+    # past the interpreter's 4300-digit limit json.loads raises a plain ValueError
+    pytest.param(report_of(json.dumps(REPORT_RECORD).replace("0.5", "1" + "0" * 5000, 1).encode()),
+                 EXIT_DATA, id="report-metric-5001-digit-int"),
+    pytest.param(
+        train_on_edited("train.jsonl",
+                        lambda b: re.sub(rb'"q":\[[^,]*', b'"q":[1' + b"0" * 5000, b, 1)),
+        EXIT_DATA, id="vector-entry-5001-digit-int",
+    ),
+    pytest.param(
+        eval_model_file(b"QAM1" + struct.pack("<3I", 2, 12, 3) + struct.pack("<39d", *[math.nan] * 39)),
+        EXIT_DATA, id="model-nan-parameters",
+    ),
+    pytest.param(
+        train_on_edited(
+            "train.jsonl",
+            lambda b: b"\n".join(
+                re.sub(rb'"labeled_counts":\[[^]]*\]', b'"labeled_counts":[0,0,0]', line)
+                for line in b.split(b"\n") if not line.startswith(b'{"id":"lab-')
+            ),
+        ),
+        EXIT_DATA, id="train-without-labeled-records",
+    ),
 ]
 
 

@@ -2,6 +2,7 @@
 consistency losses as the trainer computes them with weighted_ce_gradient."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,24 +24,22 @@ def three_views(n, d, seed=0, jitter=0.3):
 
 
 def test_lambda_in_unit_interval_and_deterministic():
-    draws = [draw_lambda(0.75, np.random.default_rng(1)) for _ in range(3)]
-    assert draws[0] == draws[1] == draws[2]
-    rng = np.random.default_rng(2)
-    for _ in range(1000):
-        lam = draw_lambda(0.75, rng)
-        assert 0.0 <= lam <= 1.0
+    draws = [draw_lambda(0.75, np.random.default_rng(1), 1000) for _ in range(3)]
+    np.testing.assert_array_equal(draws[0], draws[1])
+    np.testing.assert_array_equal(draws[0], draws[2])
+    lam = draw_lambda(0.75, np.random.default_rng(2), 1000)
+    assert lam.shape == (1000,)
+    assert np.all((lam >= 0.0) & (lam <= 1.0))
 
 
 def test_lambda_symmetric_mean_at_alpha_three_quarters():
-    rng = np.random.default_rng(3)
-    draws = np.array([draw_lambda(0.75, rng) for _ in range(10_000)])
+    draws = draw_lambda(0.75, np.random.default_rng(3), 10_000)
     assert abs(float(draws.mean()) - 0.5) < 0.02
 
 
 def test_lambda_alpha_one_is_uniform():
     # Kolmogorov-Smirnov distance of the empirical CDF against U(0,1)
-    rng = np.random.default_rng(4)
-    draws = np.sort([draw_lambda(1.0, rng) for _ in range(10_000)])
+    draws = np.sort(draw_lambda(1.0, np.random.default_rng(4), 10_000))
     n = draws.size
     grid = np.arange(1, n + 1) / n
     ks = float(np.maximum(np.abs(grid - draws), np.abs(draws - (grid - 1.0 / n))).max())
@@ -50,7 +49,37 @@ def test_lambda_alpha_one_is_uniform():
 def test_lambda_rejects_nonpositive_alpha():
     for alpha in (0.0, -0.75):
         with pytest.raises(ParameterError):
-            draw_lambda(alpha, np.random.default_rng(0))
+            draw_lambda(alpha, np.random.default_rng(0), 1)
+
+
+def test_mix_views_stream_layout_is_sources_then_gamma_pairs():
+    # all B sources first, then B x 2 Gamma variates, lambda = g1 / (g1 + g2)
+    B, alpha = 40, 0.75
+    vo, vq, vc = three_views(B, 3, seed=26)
+    rng = np.random.default_rng(27)
+    mixed = mix_views(vo, vq, vc, alpha, rng)
+    replay = np.random.default_rng(27)
+    sources = replay.integers(0, 3, size=B)
+    g = replay.standard_gamma(alpha, size=(B, 2))
+    np.testing.assert_array_equal(mixed.sources, sources)
+    np.testing.assert_array_equal(mixed.lambdas, g[:, 0] / (g[:, 0] + g[:, 1]))
+    # nothing else was drawn: both generators continue from the same state
+    assert rng.random() == replay.random()
+
+
+def test_mix_views_underflowing_gamma_pair_gives_nan_quietly():
+    vo, vq, vc = three_views(64, 3, seed=28)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = mix_views(vo, vq, vc, 1e-3, np.random.default_rng(29))
+    nan_rows = np.isnan(mixed.lambdas)
+    assert nan_rows.any()
+    views = (vo, vq, vc)
+    blended = (mixed.original, mixed.question, mixed.context)
+    for i in np.flatnonzero(nan_rows):
+        s = mixed.sources[i]
+        np.testing.assert_array_equal(blended[s][i], views[s][i])
+        assert all(np.isnan(bl[i]).all() for k, bl in enumerate(blended) if k != s)
 
 
 # ---------------------------------------------------------------------------
