@@ -6,7 +6,7 @@ synthetic long-tail data generator and an evaluation suite."""
 from .calibration import MarginalEstimator, calibrate, sharpen
 from .data import (
     DatasetHeader,
-    Example,
+    Split,
     SynthConfig,
     load_dataset,
     load_truth,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .numerics import softmax
 
 # Floor used inside divisions so a vanishing marginal entry cannot produce
 # inf/nan. Distinct from the log floor in numerics: this one guards ratios.
@@ -135,7 +136,4 @@ def sharpen(dist: np.ndarray, temperature: float) -> np.ndarray:
     # log-space: exponent * log p, with -inf for exact zeros, then softmax
     with np.errstate(divide="ignore"):
         logp = np.log(p)
-    scaled = logp * (1.0 / temperature)
-    m = np.max(scaled, axis=-1, keepdims=True)
-    e = np.exp(scaled - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    return softmax(logp * (1.0 / temperature))

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -349,9 +350,27 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"dataset width {X.shape[1]} does not match model input {model.input_dim}"
         )
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(model.forward_batch(X)).all()
+    if not finite:
+        raise DataFormatError(f"{args.model}: model outputs are not finite on {args.data}")
     record = evaluate_model(model, X, y, header.num_classes)
     print(json.dumps(record, indent=2))
     return EXIT_OK
+
+
+def _mean_std(arr):
+    """Mean and sample std (0 for one value). Only where that overflows are
+    the values divided by their largest magnitude first; the divided values
+    lie in [-1, 1], so the recursion stops there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = arr.mean()
+        std = arr.std(ddof=1) if arr.size > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        scale = np.abs(arr).max()
+        mean, std = _mean_std(arr / scale)
+        return float(mean * scale), float(std * scale)
+    return float(mean), float(std)
 
 
 def aggregate_reports(paths) -> dict:
@@ -365,9 +384,8 @@ def aggregate_reports(paths) -> dict:
         if not values:
             metrics[key] = {"mean": None, "std": None, "count": 0}
             continue
-        arr = np.asarray(values, dtype=np.float64)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        metrics[key] = {"mean": float(arr.mean()), "std": std, "count": int(arr.size)}
+        mean, std = _mean_std(np.asarray(values, dtype=np.float64))
+        metrics[key] = {"mean": mean, "std": std, "count": len(values)}
     return {"runs": len(paths), "metrics": metrics}
 
 

@@ -4,11 +4,14 @@ File format: one JSON object per line. The first line is a header
 {"dim": d, "class_names": [...], "labeled_counts": [...]} and every
 following line is a record {"id", "label", "q", "c", "q_aug", "c_aug"}.
 Labels are class names on disk; the sentinel "unlabeled" marks records
-without one. The augmented vectors are required for unlabeled records
-(consistency training needs them) and optional for labeled ones.
+without one. Vector entries must be JSON numbers. The augmented vectors
+are required for unlabeled records (consistency training needs them) and
+optional for labeled ones, whose are checked but not kept.
 
-A record's model input is the concatenation question-then-context, so the
-classifier sees vectors of width 2 * dim:
+In memory each kind of record is one ``Split`` of (n, dim) columns. A
+record's model input is the concatenation question-then-context, so the
+classifier sees rows of width 2 * dim, built only by ``labeled_matrix``
+and ``unlabeled_matrices``:
 
     original view  = [q, c]
     question view  = [q_aug, c]
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +40,8 @@ from .errors import DataFormatError, ParameterError
 UNLABELED_SENTINEL = "unlabeled"
 HEADER_KEYS = ("dim", "class_names", "labeled_counts")
 RECORD_KEYS = ("id", "label", "q", "c", "q_aug", "c_aug")
+# the types json.loads gives JSON numbers; float() would also take str and bool
+_JSON_NUMBERS = frozenset((int, float))
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -82,38 +88,38 @@ class DatasetHeader:
 
 
 @dataclass
-class Example:
-    example_id: str
-    label: int | None
-    question: np.ndarray
-    context: np.ndarray
-    question_aug: np.ndarray | None = None
-    context_aug: np.ndarray | None = None
+class Split:
+    """One kind of record as columns: row i of each (n, dim) matrix is
+    record ids[i]. ``labels`` (class indices) is None for unlabeled
+    records; ``q_aug`` and ``c_aug`` are None for labeled ones."""
 
-    def original_view(self) -> np.ndarray:
-        return np.concatenate([self.question, self.context])
+    ids: list
+    labels: np.ndarray | None
+    q: np.ndarray
+    c: np.ndarray
+    q_aug: np.ndarray | None = None
+    c_aug: np.ndarray | None = None
 
-    def question_view(self) -> np.ndarray:
-        return np.concatenate([self.question_aug, self.context])
-
-    def context_view(self) -> np.ndarray:
-        return np.concatenate([self.question, self.context_aug])
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-def _parse_vector(raw, dim, what, rid, lineno):
+def _append_vector(column, raw, dim, what, rid, lineno):
+    """Check one record vector and append its entries to ``column``."""
     if not isinstance(raw, list) or len(raw) != dim:
         raise DataFormatError(
             f"line {lineno}: record {rid!r}: {what} must be a list of {dim} numbers"
         )
     try:
-        vec = np.array([float(v) for v in raw], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        if not _JSON_NUMBERS.issuperset(map(type, raw)):
+            raise TypeError
+        column.extend(raw)  # OverflowError for an integer past the float range
+    except (TypeError, OverflowError):
         raise DataFormatError(
             f"line {lineno}: record {rid!r}: {what} has a non-numeric entry"
         ) from None
-    if not np.all(np.isfinite(vec)):
+    if not all(map(math.isfinite, raw)):
         raise DataFormatError(f"line {lineno}: record {rid!r}: {what} is not finite")
-    return vec
 
 
 def read_text(path) -> str:
@@ -137,8 +143,13 @@ def parse_json_line(path, lineno: int, line: str, what: str = "JSON"):
         ) from None
 
 
+def _matrices(columns: dict, dim: int) -> dict:
+    """View each array('d') column as an (n, dim) matrix, without a copy."""
+    return {k: np.frombuffer(col, dtype=np.float64).reshape(-1, dim) for k, col in columns.items()}
+
+
 def load_dataset(path):
-    """Parse a dataset file into (header, labeled records, unlabeled records).
+    """Parse a dataset file into (header, labeled Split, unlabeled Split).
 
     Every violation is reported with the line number, and with the record
     id once one is known. Labeled per-class counts are checked against the
@@ -156,7 +167,10 @@ def load_dataset(path):
     header = DatasetHeader(**head)
     name_to_index = {n: i for i, n in enumerate(header.class_names)}
 
-    labeled, unlabeled = [], []
+    # one column per vector; labeled records' q_aug/c_aug go to a throwaway
+    labeled_ids, labels, unlabeled_ids = [], [], []
+    labeled_cols = {"q": array("d"), "c": array("d")}
+    unlabeled_cols = {key: array("d") for key in ("q", "c", "q_aug", "c_aug")}
     seen_ids = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -203,41 +217,40 @@ def load_dataset(path):
                 raise DataFormatError(
                     f"{path}: line {lineno}: record {rid!r}: missing vector {key!r}"
                 )
-        q = _parse_vector(obj["q"], header.dim, "q", rid, lineno)
-        c = _parse_vector(obj["c"], header.dim, "c", rid, lineno)
-        q_aug = c_aug = None
+        cols = unlabeled_cols if label is None else labeled_cols
+        _append_vector(cols["q"], obj["q"], header.dim, "q", rid, lineno)
+        _append_vector(cols["c"], obj["c"], header.dim, "c", rid, lineno)
         if label is None:
+            unlabeled_ids.append(rid)
             for key in ("q_aug", "c_aug"):
                 if key not in obj:
                     raise DataFormatError(
                         f"{path}: line {lineno}: record {rid!r}: unlabeled records "
                         f"require {key!r}"
                     )
-        if "q_aug" in obj:
-            q_aug = _parse_vector(obj["q_aug"], header.dim, "q_aug", rid, lineno)
-        if "c_aug" in obj:
-            c_aug = _parse_vector(obj["c_aug"], header.dim, "c_aug", rid, lineno)
+        else:
+            labeled_ids.append(rid)
+            labels.append(label)
+        for key in ("q_aug", "c_aug"):
+            if key in obj:
+                column = cols[key] if key in cols else array("d")
+                _append_vector(column, obj[key], header.dim, key, rid, lineno)
 
-        rec = Example(rid, label, q, c, q_aug, c_aug)
-        (unlabeled if label is None else labeled).append(rec)
-
-    actual = [0] * header.num_classes
-    for rec in labeled:
-        actual[rec.label] += 1
+    labels = np.array(labels, dtype=np.int64)
+    actual = np.bincount(labels, minlength=header.num_classes).tolist()
     if actual != header.labeled_counts:
         raise DataFormatError(
             f"{path}: header labeled_counts {header.labeled_counts} do not match "
             f"the records ({actual})"
         )
+    labeled = Split(labeled_ids, labels, **_matrices(labeled_cols, header.dim))
+    unlabeled = Split(unlabeled_ids, None, **_matrices(unlabeled_cols, header.dim))
     return header, labeled, unlabeled
 
 
-def _vector_json(vec) -> list:
-    return [float(v) for v in vec]
-
-
-def write_dataset(path, header: DatasetHeader, records) -> None:
-    """Emit header + records; floats round-trip exactly through JSON."""
+def write_dataset(path, header: DatasetHeader, *splits) -> None:
+    """Emit header + every split's records in order; floats round-trip
+    exactly through JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             json.dumps(
@@ -250,21 +263,21 @@ def write_dataset(path, header: DatasetHeader, records) -> None:
             )
         )
         fh.write("\n")
-        for rec in records:
-            obj = {
-                "id": rec.example_id,
-                "label": UNLABELED_SENTINEL
-                if rec.label is None
-                else header.class_names[rec.label],
-                "q": _vector_json(rec.question),
-                "c": _vector_json(rec.context),
-            }
-            if rec.question_aug is not None:
-                obj["q_aug"] = _vector_json(rec.question_aug)
-            if rec.context_aug is not None:
-                obj["c_aug"] = _vector_json(rec.context_aug)
-            fh.write(json.dumps(obj, separators=(",", ":")))
-            fh.write("\n")
+        for split in splits:
+            for i, rid in enumerate(split.ids):
+                obj = {
+                    "id": rid,
+                    "label": UNLABELED_SENTINEL
+                    if split.labels is None
+                    else header.class_names[split.labels[i]],
+                    "q": split.q[i].tolist(),
+                    "c": split.c[i].tolist(),
+                }
+                if split.q_aug is not None:
+                    obj["q_aug"] = split.q_aug[i].tolist()
+                    obj["c_aug"] = split.c_aug[i].tolist()
+                fh.write(json.dumps(obj, separators=(",", ":")))
+                fh.write("\n")
 
 
 def load_truth(path) -> dict:
@@ -359,35 +372,20 @@ class SynthConfig:
                 raise ParameterError(f"{name} entries must be >= {low}")
 
 
-def _draw_split(cfg, rng, counts, prefix, augmented):
-    """Draw one split, every record labeled with its class; per example the
-    order is q, c, then optionally q_aug, c_aug. Classes are laid out in
-    index order."""
-    means = np.zeros((cfg.num_classes, cfg.dim))
-    for k in range(cfg.num_classes):
-        means[k, k] = cfg.separation
-    records = []
-    serial = 0
-    for k, n in enumerate(counts):
-        for _ in range(n):
-            q = means[k] + cfg.noise_sigma * rng.standard_normal(cfg.dim)
-            c = means[k] + cfg.noise_sigma * rng.standard_normal(cfg.dim)
-            q_aug = c_aug = None
-            if augmented:
-                q_aug = q + cfg.aug_sigma * rng.standard_normal(cfg.dim)
-                c_aug = c + cfg.aug_sigma * rng.standard_normal(cfg.dim)
-            records.append(
-                Example(
-                    example_id=f"{prefix}-{serial:05d}",
-                    label=k,
-                    question=q,
-                    context=c,
-                    question_aug=q_aug,
-                    context_aug=c_aug,
-                )
-            )
-            serial += 1
-    return records
+def _draw_split(cfg, rng, counts, prefix, augmented) -> Split:
+    """Draw one split, every record labeled with its class. Classes are laid
+    out in index order; per record the draws are q, c, then optionally
+    q_aug, c_aug, which is the order one standard_normal call fills them."""
+    labels = np.repeat(np.arange(cfg.num_classes), counts)
+    z = rng.standard_normal((len(labels), 4 if augmented else 2, cfg.dim))
+    means = cfg.separation * np.eye(cfg.num_classes, cfg.dim)[labels]
+    q = means + cfg.noise_sigma * z[:, 0]
+    c = means + cfg.noise_sigma * z[:, 1]
+    split = Split([f"{prefix}-{i:05d}" for i in range(len(labels))], labels, q, c)
+    if augmented:
+        split.q_aug = q + cfg.aug_sigma * z[:, 2]
+        split.c_aug = c + cfg.aug_sigma * z[:, 3]
+    return split
 
 
 def synth_generate(cfg: SynthConfig, out_dir) -> dict:
@@ -412,13 +410,15 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
     }
     # the truth sidecar keeps the labels the train file strips
     with open(paths["truth"], "w", encoding="utf-8") as fh:
-        fh.writelines(f"{r.example_id}\t{cfg.class_names[r.label]}\n" for r in unlabeled)
-    for r in unlabeled:
-        r.label = None
+        fh.writelines(
+            f"{rid}\t{cfg.class_names[k]}\n" for rid, k in zip(unlabeled.ids, unlabeled.labels)
+        )
+    unlabeled.labels = None
     write_dataset(
         paths["train"],
         DatasetHeader(cfg.dim, cfg.class_names, cfg.labeled_counts),
-        labeled + unlabeled,
+        labeled,
+        unlabeled,
     )
     write_dataset(
         paths["valid"], DatasetHeader(cfg.dim, cfg.class_names, cfg.valid_counts), valid
@@ -429,22 +429,18 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
     return paths
 
 
-def labeled_matrix(records):
-    """Stack labeled records into (X, y) with X rows = [q, c]."""
-    if not records:
+def labeled_matrix(split: Split):
+    """(X, y) with X rows = [q, c]."""
+    if not split:
         raise ParameterError("need at least one labeled record")
-    X = np.stack([r.original_view() for r in records])
-    y = np.array([r.label for r in records], dtype=np.int64)
-    return X, y
+    return np.hstack([split.q, split.c]), split.labels
 
 
-def unlabeled_matrices(records):
-    """Stack unlabeled records into (ids, original, question view, context view)."""
-    ids = [r.example_id for r in records]
-    if not records:
-        empty = np.zeros((0, 0))
-        return ids, empty, empty, empty
-    orig = np.stack([r.original_view() for r in records])
-    qview = np.stack([r.question_view() for r in records])
-    cview = np.stack([r.context_view() for r in records])
-    return ids, orig, qview, cview
+def unlabeled_matrices(split: Split):
+    """(ids, original, question view, context view) of an unlabeled split."""
+    return (
+        split.ids,
+        np.hstack([split.q, split.c]),
+        np.hstack([split.q_aug, split.c]),
+        np.hstack([split.q, split.c_aug]),
+    )

@@ -398,9 +398,10 @@ def build_trainer(
 ) -> QAMatchTrainer:
     """Assemble a trainer from loader output (and an optional truth sidecar).
 
-    Raises DataFormatError when there are no labeled records, or when
-    ``valid_header`` disagrees with ``header`` on the vector width or the
-    class names.
+    Records are ``load_dataset`` Splits; None or an empty unlabeled Split
+    means no unlabeled data. Raises DataFormatError when there are no
+    labeled records, or when ``valid_header`` disagrees with ``header`` on
+    the vector width or the class names.
     """
     if valid_header is not None and (
         valid_header.dim != header.dim or valid_header.class_names != header.class_names
@@ -409,17 +410,18 @@ def build_trainer(
     if not labeled_records:
         raise DataFormatError("training file has no labeled records")
     X, y = labeled_matrix(labeled_records)
-    ids, orig, qview, cview = unlabeled_matrices(unlabeled_records)
-    name_to_index = {n: i for i, n in enumerate(header.class_names)}
-    truth_arr = None
-    if truth is not None and unlabeled_records:
-        truth_arr = np.full(len(ids), -1, dtype=np.int64)
-        for i, rid in enumerate(ids):
-            if rid in truth:
-                name = truth[rid]
-                if name not in name_to_index:
-                    raise DataFormatError(f"truth sidecar has unknown label {name!r}")
-                truth_arr[i] = name_to_index[name]
+    orig = qview = cview = truth_arr = None
+    if unlabeled_records:
+        ids, orig, qview, cview = unlabeled_matrices(unlabeled_records)
+        if truth is not None:
+            name_to_index = {n: i for i, n in enumerate(header.class_names)}
+            truth_arr = np.full(len(ids), -1, dtype=np.int64)
+            for i, rid in enumerate(ids):
+                if rid in truth:
+                    name = truth[rid]
+                    if name not in name_to_index:
+                        raise DataFormatError(f"truth sidecar has unknown label {name!r}")
+                    truth_arr[i] = name_to_index[name]
     valid_X = valid_y = None
     if valid_records:
         valid_X, valid_y = labeled_matrix(valid_records)
@@ -429,9 +431,9 @@ def build_trainer(
         X,
         y,
         header.labeled_counts,
-        unl_original=orig if unlabeled_records else None,
-        unl_question=qview if unlabeled_records else None,
-        unl_context=cview if unlabeled_records else None,
+        unl_original=orig,
+        unl_question=qview,
+        unl_context=cview,
         unl_truth=truth_arr,
         valid_X=valid_X,
         valid_y=valid_y,

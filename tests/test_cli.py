@@ -5,9 +5,11 @@ import math
 import os
 import re
 import shutil
+import statistics
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +281,9 @@ def report_of(blob):
 
 REPORT_RECORD = {**dict.fromkeys(REPORT_KEYS, 0.5), "iteration": 10}
 
+# a 12 -> 3 model (GEN_KW's dim 6) whose finite parameters overflow every output
+HUGE_MODEL = b"QAM1" + struct.pack("<3I", 2, 12, 3) + struct.pack("<39d", *[1e308] * 39)
+
 HOSTILE_INPUTS = [
     pytest.param(train_with(alpha=math.inf), EXIT_USAGE, id="alpha-inf"),
     pytest.param(train_with(lr=math.inf), EXIT_USAGE, id="lr-inf"),
@@ -340,6 +345,11 @@ HOSTILE_INPUTS = [
         EXIT_DATA, id="vector-entry-5001-digit-int",
     ),
     pytest.param(
+        train_on_edited("train.jsonl", lambda b: re.sub(rb'"q":\[[^,]*', b'"q":["1e3"', b, 1)),
+        EXIT_DATA, id="vector-entry-string",
+    ),
+    pytest.param(eval_model_file(HUGE_MODEL), EXIT_DATA, id="model-huge-parameters"),
+    pytest.param(
         eval_model_file(b"QAM1" + struct.pack("<3I", 2, 12, 3) + struct.pack("<39d", *[math.nan] * 39)),
         EXIT_DATA, id="model-nan-parameters",
     ),
@@ -361,6 +371,16 @@ def test_hostile_input_exit_code_without_traceback(setup, expected, data_dir, tm
     argv = setup(tmp_path, data_dir)
     assert main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_rejects_non_finite_outputs_without_warnings(data_dir, tmp_path, capsys):
+    model = put(tmp_path / "huge.qam", HUGE_MODEL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["eval", "--model", model, "--data", str(data_dir / "test.jsonl")])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert model in captured.err and captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +582,24 @@ def test_report_identical_runs_have_zero_std(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     acc = summary["metrics"]["val_accuracy"]
     assert acc["mean"] == pytest.approx(0.66) and acc["std"] == 0.0
+
+
+def test_report_stays_finite_when_the_sum_overflows(tmp_path, capsys):
+    values = [4.452e307, 4.0e307, 4.452e307, 3.9e307, 4.452e307]
+    paths = []
+    for i, value in enumerate(values):
+        write_report([{**REPORT_RECORD, "loss_mix": value}], tmp_path / f"r{i}.jsonl")
+        paths.append(str(tmp_path / f"r{i}.jsonl"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", *paths]) == EXIT_OK
+
+    def refuse(literal):
+        raise AssertionError(f"{literal} in the report summary")
+
+    mix = json.loads(capsys.readouterr().out, parse_constant=refuse)["metrics"]["loss_mix"]
+    assert mix["mean"] == pytest.approx(statistics.mean(values), rel=1e-12)
+    assert mix["std"] == pytest.approx(statistics.stdev(values), rel=1e-12)
 
 
 def test_report_rejects_mismatched_schema(tmp_path, capsys):

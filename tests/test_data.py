@@ -1,6 +1,7 @@
 """Dataset format, loader validation, long-tail counts, and generator tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from qamatch.cli import main
 from qamatch.data import (
     DatasetHeader,
-    Example,
+    Split,
     SynthConfig,
     labeled_matrix,
     load_dataset,
@@ -110,17 +111,17 @@ def test_round_trip_is_bitwise(tmp_path):
     header, labeled, unlabeled = load_dataset(paths["train"])
 
     out = tmp_path / "rewritten.jsonl"
-    write_dataset(out, header, labeled + unlabeled)
+    write_dataset(out, header, labeled, unlabeled)
+    assert out.read_bytes() == (tmp_path / "train.jsonl").read_bytes()
     header2, labeled2, unlabeled2 = load_dataset(out)
 
     assert header2 == header
-    for a, b in zip(labeled + unlabeled, labeled2 + unlabeled2):
-        assert a.example_id == b.example_id and a.label == b.label
-        np.testing.assert_array_equal(a.question, b.question)
-        np.testing.assert_array_equal(a.context, b.context)
-        if a.question_aug is not None:
-            np.testing.assert_array_equal(a.question_aug, b.question_aug)
-            np.testing.assert_array_equal(a.context_aug, b.context_aug)
+    for a, b in ((labeled, labeled2), (unlabeled, unlabeled2)):
+        assert a.ids == b.ids
+        for key in ("labels", "q", "c", "q_aug", "c_aug"):
+            np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
+    assert labeled2.labels is not None and labeled2.q_aug is None
+    assert unlabeled2.labels is None and unlabeled2.q_aug is not None
 
 
 def test_loader_accepts_integer_and_name_labels(tmp_path):
@@ -132,8 +133,8 @@ def test_loader_accepts_integer_and_name_labels(tmp_path):
     ]
     path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
     _, labeled, unlabeled = load_dataset(path)
-    assert [r.label for r in labeled] == [0, 1]
-    assert unlabeled == []
+    assert labeled.labels.tolist() == [0, 1]
+    assert len(unlabeled) == 0
 
 
 def write_mutated(tmp_path, name, mutate):
@@ -212,8 +213,18 @@ def test_loader_accepts_the_unmutated_file(tmp_path):
         ),
         (
             "nonfinite_vector",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": ["inf", 0.0]})] + ls[2:],
+            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": [math.inf, 0.0]})] + ls[2:],
             "finite",
+        ),
+        (
+            "string_vector_entry",
+            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": ["1e3", 0.0]})] + ls[2:],
+            "non-numeric",
+        ),
+        (
+            "bool_vector_entry",
+            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "c": [0.0, True]})] + ls[2:],
+            "non-numeric",
         ),
         (
             "count_mismatch",
@@ -250,12 +261,12 @@ def test_generate_counts_match_config(tmp_path):
     header, labeled, unlabeled = load_dataset(paths["train"])
     assert header.labeled_counts == cfg.labeled_counts
     per_class = [0] * 3
-    for r in labeled:
-        per_class[r.label] += 1
+    for label in labeled.labels:
+        per_class[label] += 1
     assert per_class == cfg.labeled_counts
     assert len(unlabeled) == sum(cfg.unlabeled_counts)
     vh, valid, vunl = load_dataset(paths["valid"])
-    assert vh.labeled_counts == cfg.valid_counts and vunl == []
+    assert vh.labeled_counts == cfg.valid_counts and len(vunl) == 0
 
 
 def test_generated_truth_covers_every_unlabeled_id(tmp_path):
@@ -263,7 +274,7 @@ def test_generated_truth_covers_every_unlabeled_id(tmp_path):
     paths = synth_generate(cfg, tmp_path)
     _, _, unlabeled = load_dataset(paths["train"])
     truth = load_truth(paths["truth"])
-    assert set(truth) == {r.example_id for r in unlabeled}
+    assert set(truth) == set(unlabeled.ids)
     assert set(truth.values()) <= set(cfg.class_names)
 
 
@@ -271,9 +282,58 @@ def test_aug_sigma_zero_copies_vectors(tmp_path):
     cfg = small_config(aug_sigma=0.0)
     paths = synth_generate(cfg, tmp_path)
     _, _, unlabeled = load_dataset(paths["train"])
+    np.testing.assert_array_equal(unlabeled.q_aug, unlabeled.q)
+    np.testing.assert_array_equal(unlabeled.c_aug, unlabeled.c)
+
+
+def oracle_generate(cfg):
+    """The per-record generator: one standard_normal(dim) call per vector in
+    the order q, c, q_aug, c_aug, and one json.dumps per record. Returns
+    the text of the four files synth_generate writes."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def draw(counts, prefix, augmented):
+        records = []
+        for k, n in enumerate(counts):
+            mean = np.zeros(cfg.dim)
+            mean[k] = cfg.separation
+            for _ in range(n):
+                q = mean + cfg.noise_sigma * rng.standard_normal(cfg.dim)
+                c = mean + cfg.noise_sigma * rng.standard_normal(cfg.dim)
+                rec = {"id": f"{prefix}-{len(records):05d}", "label": cfg.class_names[k],
+                       "q": [float(v) for v in q], "c": [float(v) for v in c]}
+                if augmented:
+                    rec["q_aug"] = [float(v) for v in q + cfg.aug_sigma * rng.standard_normal(cfg.dim)]
+                    rec["c_aug"] = [float(v) for v in c + cfg.aug_sigma * rng.standard_normal(cfg.dim)]
+                records.append(rec)
+        return records
+
+    labeled = draw(cfg.labeled_counts, "lab", False)
+    unlabeled = draw(cfg.unlabeled_counts, "unl", True)
+    valid = draw(cfg.valid_counts, "val", False)
+    test = draw(cfg.test_counts, "tst", False)
+    truth = "".join(f"{r['id']}\t{r['label']}\n" for r in unlabeled)
     for r in unlabeled:
-        np.testing.assert_array_equal(r.question_aug, r.question)
-        np.testing.assert_array_equal(r.context_aug, r.context)
+        r["label"] = "unlabeled"
+
+    def text(counts, records):
+        header = {"dim": cfg.dim, "class_names": cfg.class_names, "labeled_counts": counts}
+        return "".join(json.dumps(obj, separators=(",", ":")) + "\n" for obj in [header, *records])
+
+    return {
+        "train.jsonl": text(cfg.labeled_counts, labeled + unlabeled),
+        "valid.jsonl": text(cfg.valid_counts, valid),
+        "test.jsonl": text(cfg.test_counts, test),
+        "unlabeled-truth.tsv": truth,
+    }
+
+
+def test_generate_matches_the_per_record_oracle(tmp_path):
+    # aug_sigma > 0 and an unlabeled class without records
+    cfg = small_config(aug_sigma=0.2, unlabeled_counts=[8, 0, 2])
+    synth_generate(cfg, tmp_path)
+    for name, text in oracle_generate(cfg).items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
 
 
 def test_class_clusters_are_separated(tmp_path):
@@ -282,7 +342,7 @@ def test_class_clusters_are_separated(tmp_path):
     paths = synth_generate(cfg, tmp_path)
     _, labeled, _ = load_dataset(paths["train"])
     for k in range(3):
-        rows = np.stack([r.question for r in labeled if r.label == k])
+        rows = labeled.q[labeled.labels == k]
         centroid = rows.mean(axis=0)
         expected = np.zeros(4)
         expected[k] = 6.0
@@ -325,17 +385,22 @@ def test_generate_defaults_build_reference_task(tmp_path):
 
 
 def test_views_concatenate_in_question_context_order():
-    rec = Example(
-        "x",
+    split = Split(
+        ["x"],
         None,
-        question=np.array([1.0, 2.0]),
-        context=np.array([3.0, 4.0]),
-        question_aug=np.array([1.5, 2.5]),
-        context_aug=np.array([3.5, 4.5]),
+        q=np.array([[1.0, 2.0]]),
+        c=np.array([[3.0, 4.0]]),
+        q_aug=np.array([[1.5, 2.5]]),
+        c_aug=np.array([[3.5, 4.5]]),
     )
-    np.testing.assert_array_equal(rec.original_view(), [1, 2, 3, 4])
-    np.testing.assert_array_equal(rec.question_view(), [1.5, 2.5, 3, 4])
-    np.testing.assert_array_equal(rec.context_view(), [1, 2, 3.5, 4.5])
+    ids, orig, qview, cview = unlabeled_matrices(split)
+    assert ids == ["x"]
+    np.testing.assert_array_equal(orig, [[1, 2, 3, 4]])
+    np.testing.assert_array_equal(qview, [[1.5, 2.5, 3, 4]])
+    np.testing.assert_array_equal(cview, [[1, 2, 3.5, 4.5]])
+    X, y = labeled_matrix(Split(["y"], np.array([1]), split.q, split.c))
+    np.testing.assert_array_equal(X, [[1, 2, 3, 4]])
+    assert y.tolist() == [1]
 
 
 def test_matrix_helpers(tmp_path):
@@ -347,7 +412,7 @@ def test_matrix_helpers(tmp_path):
     ids, orig, qv, cv = unlabeled_matrices(unlabeled)
     assert len(ids) == 14 and orig.shape == qv.shape == cv.shape == (14, 8)
     with pytest.raises(ParameterError):
-        labeled_matrix([])
+        labeled_matrix(Split([], np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros((0, 4))))
 
 
 def test_load_truth_validation(tmp_path):

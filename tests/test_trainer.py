@@ -151,7 +151,7 @@ def test_beta_zero_matches_rebalance_off_bitwise(task_dir):
 def test_empty_unlabeled_matches_unlabeled_toggles_off(task_dir):
     header, labeled, unlabeled, vh, vr, truth = load_task(task_dir)
     cfg = base_config(use_rebalance=False)
-    a = build_trainer(cfg, header, labeled, [], vh, vr, None)
+    a = build_trainer(cfg, header, labeled, None, vh, vr, None)
     b = build_trainer(cfg, header, labeled, unlabeled, vh, vr, truth)
     b.config = base_config(use_rebalance=False, use_softmix=False, use_anchor=False)
     for _ in range(20):
@@ -165,7 +165,7 @@ def test_empty_unlabeled_matches_unlabeled_toggles_off(task_dir):
 def test_supervised_trajectory_matches_handrolled_loop(task_dir):
     header, labeled, _, _, _, _ = load_task(task_dir)
     cfg = base_config(use_softmix=False, use_anchor=False)
-    t = build_trainer(cfg, header, labeled, [], None, None, None)
+    t = build_trainer(cfg, header, labeled, None, None, None, None)
 
     X, y = labeled_matrix(labeled)
     rng = np.random.default_rng(cfg.seed)
@@ -326,7 +326,7 @@ def test_report_fields_populated_with_truth_and_validation(task_dir):
 def test_report_fields_none_when_sources_missing(task_dir):
     header, labeled, _, _, _, _ = load_task(task_dir)
     cfg = base_config(iterations=10, eval_interval=5)
-    t = build_trainer(cfg, header, labeled, [], None, None, None)
+    t = build_trainer(cfg, header, labeled, None, None, None, None)
     for rec in t.run():
         assert rec["pseudo_label_accuracy"] is None
         assert rec["val_accuracy"] is None
@@ -394,7 +394,7 @@ def test_trainer_rejects_bad_shapes(task_dir):
 
 def test_build_trainer_rejects_unknown_truth_label(task_dir):
     header, labeled, unlabeled, _, _, _ = load_task(task_dir)
-    truth = {unlabeled[0].example_id: "nonexistent-class"}
+    truth = {unlabeled.ids[0]: "nonexistent-class"}
     with pytest.raises(DataFormatError, match="unknown label"):
         build_trainer(base_config(), header, labeled, unlabeled, None, None, truth)
 
@@ -432,7 +432,7 @@ def test_separated_blobs_are_learnable_supervised(tmp_path):
         iterations=300, labeled_batch=16, lr=0.05, seed=0,
         use_softmix=False, use_anchor=False, eval_interval=100,
     )
-    t = build_trainer(tcfg, header, labeled, [], None, None, None)
+    t = build_trainer(tcfg, header, labeled, None, None, None, None)
     t.run()
     model = t.model
     test_header, test_records, _ = load_dataset(tmp_path / "test.jsonl")
