@@ -362,14 +362,15 @@ def cmd_eval(args) -> int:
 def _mean_std(arr):
     """Mean and sample std (0 for one value). Only where that overflows are
     the values divided by their largest magnitude first; the divided values
-    lie in [-1, 1], so the recursion stops there."""
+    lie in [-1, 1], so the recursion stops there. The mean then stays
+    finite; a std past the float range comes back as inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = arr.mean()
         std = arr.std(ddof=1) if arr.size > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std)):
-        scale = np.abs(arr).max()
+        scale = float(np.abs(arr).max())
         mean, std = _mean_std(arr / scale)
-        return float(mean * scale), float(std * scale)
+        return mean * scale, std * scale
     return float(mean), float(std)
 
 
@@ -385,6 +386,8 @@ def aggregate_reports(paths) -> dict:
             metrics[key] = {"mean": None, "std": None, "count": 0}
             continue
         mean, std = _mean_std(np.asarray(values, dtype=np.float64))
+        if not math.isfinite(std):
+            raise DataFormatError(f"{key}: sample std over the reports exceeds the float range")
         metrics[key] = {"mean": mean, "std": std, "count": len(values)}
     return {"runs": len(paths), "metrics": metrics}
 

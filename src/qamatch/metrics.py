@@ -64,12 +64,9 @@ def accuracy(cm) -> float:
 
 def per_class_accuracy(cm) -> list:
     """Recall per class (diagonal over row sum); None where support is 0."""
-    cm = _validated(cm)
-    out = []
-    for k in range(cm.shape[0]):
-        support = cm[k].sum()
-        out.append(float(cm[k, k] / support) if support > 0 else None)
-    return out
+    _, recall, _ = precision_recall_f1(cm)
+    support = np.asarray(cm).sum(axis=1)
+    return [float(r) if n > 0 else None for r, n in zip(recall, support)]
 
 
 def precision_recall_f1(cm):

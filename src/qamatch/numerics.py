@@ -116,15 +116,6 @@ class MlpClassifier:
         """(B, d_in) -> (B, C) rows of class probabilities."""
         return self._forward_cached(X)[1]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Single representation -> class probability vector."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.input_dim:
-            raise ShapeError(
-                f"input of length {x.shape} does not match input dim {self.input_dim}"
-            )
-        return self.forward_batch(x[None, :])[0]
-
 
 @dataclass
 class GradientSet:

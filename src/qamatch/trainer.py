@@ -35,7 +35,7 @@ import numpy as np
 
 from .calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
 from .data import labeled_matrix, parse_json_line, read_text, unlabeled_matrices
-from .errors import DataFormatError, DivergenceError, ParameterError, ShapeError
+from .errors import DataFormatError, DivergenceError, ParameterError
 from .metrics import evaluate_model, kl_divergence
 from .numerics import MlpClassifier, fsum_nonneg, sgd_step, weighted_ce_gradient
 from .rebalance import class_weights
@@ -157,80 +157,39 @@ class _Cycler:
 
 
 class QAMatchTrainer:
-    """Stateful training loop over preassembled matrices.
+    """Stateful training loop over the matrices that ``build_trainer``, the
+    only constructor callers use, assembles and checks.
 
-    ``unl_truth`` (optional) holds the hidden class index per unlabeled
-    row, -1 where unknown; it is used only to score pseudo-label accuracy
-    for the report, never in any loss.
+    The three unlabeled views have zero rows when there is no unlabeled
+    data. ``unl_truth`` (optional) holds the hidden class index per
+    unlabeled row, -1 where unknown; it is used only to score pseudo-label
+    accuracy for the report, never in any loss.
     """
 
     def __init__(
-        self,
-        config: TrainConfig,
-        num_classes: int,
-        labeled_X: np.ndarray,
-        labeled_y: np.ndarray,
-        labeled_counts,
-        unl_original=None,
-        unl_question=None,
-        unl_context=None,
-        unl_truth=None,
-        valid_X=None,
-        valid_y=None,
+        self, config: TrainConfig, labeled_counts: list, labeled_X, labeled_y,
+        unl_original, unl_question, unl_context, unl_truth, valid_X, valid_y,
     ):
         self.config = config
-        self.num_classes = int(num_classes)
-        self.labeled_X = np.asarray(labeled_X, dtype=np.float64)
-        self.labeled_y = np.asarray(labeled_y, dtype=np.int64)
-        if self.labeled_X.ndim != 2 or self.labeled_X.shape[0] == 0:
-            raise ShapeError("labeled data must be a non-empty (N, d_in) matrix")
-        if self.labeled_y.shape != (self.labeled_X.shape[0],):
-            raise ShapeError("labeled labels must align with labeled rows")
-        counts = [int(c) for c in labeled_counts]
-        if len(counts) != self.num_classes or sum(counts) <= 0:
-            raise ParameterError("labeled_counts must cover every class")
-
-        d_in = self.labeled_X.shape[1]
-        if unl_original is None:
-            self.unl_original = np.zeros((0, d_in))
-            self.unl_question = np.zeros((0, d_in))
-            self.unl_context = np.zeros((0, d_in))
-        else:
-            self.unl_original = np.asarray(unl_original, dtype=np.float64)
-            self.unl_question = np.asarray(unl_question, dtype=np.float64)
-            self.unl_context = np.asarray(unl_context, dtype=np.float64)
-            shapes = {
-                self.unl_original.shape,
-                self.unl_question.shape,
-                self.unl_context.shape,
-            }
-            if len(shapes) != 1 or self.unl_original.shape[1] != d_in:
-                raise ShapeError("unlabeled view matrices must share the labeled width")
-        if unl_truth is not None:
-            self.unl_truth = np.asarray(unl_truth, dtype=np.int64)
-            if self.unl_truth.shape != (self.unl_original.shape[0],):
-                raise ShapeError("unl_truth must align with unlabeled rows")
-        else:
-            self.unl_truth = None
-        if valid_X is not None:
-            self.valid_X = np.asarray(valid_X, dtype=np.float64)
-            self.valid_y = np.asarray(valid_y, dtype=np.int64)
-            if self.valid_X.ndim != 2 or self.valid_X.shape[1] != d_in:
-                raise ShapeError("validation width must match training width")
-        else:
-            self.valid_X = self.valid_y = None
+        self.num_classes = len(labeled_counts)
+        self.labeled_X, self.labeled_y = labeled_X, labeled_y
+        self.unl_original = unl_original
+        self.unl_question = unl_question
+        self.unl_context = unl_context
+        self.unl_truth = unl_truth
+        self.valid_X, self.valid_y = valid_X, valid_y
 
         self.rng = np.random.default_rng(config.seed)
         self.model = MlpClassifier.initialized(
-            (d_in, *config.hidden_dims, self.num_classes), self.rng
+            (labeled_X.shape[1], *config.hidden_dims, self.num_classes), self.rng
         )
         if config.use_rebalance:
             self.weight_vector = class_weights(
-                counts, config.beta, rescale=config.rescale_weights
+                labeled_counts, config.beta, rescale=config.rescale_weights
             )
         else:
             self.weight_vector = np.ones(self.num_classes)
-        prior = np.asarray(counts, dtype=np.float64)
+        prior = np.array(labeled_counts, dtype=np.float64)
         self.prior = prior / prior.sum()
         self.estimator = MarginalEstimator(self.num_classes, config.window)
         self.velocity = None
@@ -410,7 +369,7 @@ def build_trainer(
     if not labeled_records:
         raise DataFormatError("training file has no labeled records")
     X, y = labeled_matrix(labeled_records)
-    orig = qview = cview = truth_arr = None
+    truth_arr = None
     if unlabeled_records:
         ids, orig, qview, cview = unlabeled_matrices(unlabeled_records)
         if truth is not None:
@@ -422,21 +381,13 @@ def build_trainer(
                     if name not in name_to_index:
                         raise DataFormatError(f"truth sidecar has unknown label {name!r}")
                     truth_arr[i] = name_to_index[name]
+    else:
+        orig = qview = cview = np.zeros((0, X.shape[1]))
     valid_X = valid_y = None
     if valid_records:
         valid_X, valid_y = labeled_matrix(valid_records)
     return QAMatchTrainer(
-        config,
-        header.num_classes,
-        X,
-        y,
-        header.labeled_counts,
-        unl_original=orig,
-        unl_question=qview,
-        unl_context=cview,
-        unl_truth=truth_arr,
-        valid_X=valid_X,
-        valid_y=valid_y,
+        config, header.labeled_counts, X, y, orig, qview, cview, truth_arr, valid_X, valid_y
     )
 
 

@@ -18,6 +18,8 @@ import pytest
 from qamatch.calibration import EPS_DIV, calibrate, sharpen
 from qamatch.cli import _sha256, main
 from qamatch.data import (
+    DatasetHeader,
+    Split,
     SynthConfig,
     labeled_matrix,
     load_dataset,
@@ -28,7 +30,7 @@ from qamatch.data import (
 from qamatch.metrics import evaluate_model
 from qamatch.numerics import EPS_LOG, MlpClassifier, weighted_ce_gradient
 from qamatch.rebalance import effective_number_weight
-from qamatch.trainer import QAMatchTrainer, TrainConfig, build_trainer
+from qamatch.trainer import TrainConfig, build_trainer
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -243,6 +245,9 @@ def test_criterion_03_sharpening_contract():
 
 def _tiny_trainer(rng, labeled_n=(3, 2, 2), unl_n=7, data_dim=3, hidden=5,
                   labeled_batch=4, unlabeled_batch=4, **overrides):
+    """A trainer over random vectors, built as loaded data is: each record's
+    halves are sliced out of one (n, 2 * data_dim) draw per view, so the
+    question and context views share a half with the original view."""
     counts = list(labeled_n)
     y = np.repeat(np.arange(3), counts)
     d_in = 2 * data_dim
@@ -253,16 +258,15 @@ def _tiny_trainer(rng, labeled_n=(3, 2, 2), unl_n=7, data_dim=3, hidden=5,
         seed=int(rng.integers(1 << 30)),
         **overrides,
     )
-    return QAMatchTrainer(
-        cfg,
-        3,
-        rng.normal(size=(len(y), d_in)),
-        y,
-        counts,
-        unl_original=rng.normal(size=(unl_n, d_in)),
-        unl_question=rng.normal(size=(unl_n, d_in)),
-        unl_context=rng.normal(size=(unl_n, d_in)),
+    header = DatasetHeader(data_dim, ["a", "b", "c"], counts)
+    lab = rng.normal(size=(len(y), d_in))
+    orig, qview, cview = (rng.normal(size=(unl_n, d_in)) for _ in range(3))
+    labeled = Split([f"l{i}" for i in range(len(y))], y, lab[:, :data_dim], lab[:, data_dim:])
+    unlabeled = Split(
+        [f"u{i}" for i in range(unl_n)], None,
+        orig[:, :data_dim], orig[:, data_dim:], qview[:, :data_dim], cview[:, data_dim:],
     )
+    return build_trainer(cfg, header, labeled, unlabeled)
 
 
 def test_criterion_04_gradient_check_full_objective():

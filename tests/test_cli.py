@@ -275,8 +275,10 @@ def eval_model_file(blob):
     return setup
 
 
-def report_of(blob):
-    return lambda tmp_path, data_dir: ["report", put(tmp_path / "r.jsonl", blob)]
+def report_of(*blobs):
+    return lambda tmp_path, data_dir: [
+        "report", *(put(tmp_path / f"r{i}.jsonl", blob) for i, blob in enumerate(blobs))
+    ]
 
 
 REPORT_RECORD = {**dict.fromkeys(REPORT_KEYS, 0.5), "iteration": 10}
@@ -362,6 +364,11 @@ HOSTILE_INPUTS = [
             ),
         ),
         EXIT_DATA, id="train-without-labeled-records",
+    ),
+    # the mean is 0.0, but the sample std is past the float range
+    pytest.param(
+        report_of(*(json.dumps({**REPORT_RECORD, "loss_mix": v}).encode() for v in (1.5e308, -1.5e308))),
+        EXIT_DATA, id="report-std-overflow",
     ),
 ]
 
@@ -600,6 +607,18 @@ def test_report_stays_finite_when_the_sum_overflows(tmp_path, capsys):
     mix = json.loads(capsys.readouterr().out, parse_constant=refuse)["metrics"]["loss_mix"]
     assert mix["mean"] == pytest.approx(statistics.mean(values), rel=1e-12)
     assert mix["std"] == pytest.approx(statistics.stdev(values), rel=1e-12)
+
+
+def test_report_rejects_a_std_past_the_float_range(tmp_path, capsys):
+    paths = []
+    for i, value in enumerate((1.5e308, -1.5e308)):
+        write_report([{**REPORT_RECORD, "loss_mix": value}], tmp_path / f"r{i}.jsonl")
+        paths.append(str(tmp_path / f"r{i}.jsonl"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", *paths]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and "loss_mix" in captured.err
 
 
 def test_report_rejects_mismatched_schema(tmp_path, capsys):

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import forward_one
 
 from qamatch.errors import (
     DataFormatError,
@@ -43,7 +44,7 @@ def test_zero_parameters_give_uniform_output():
         [np.zeros((6, 4)), np.zeros((4, 3))],
         [np.zeros(4), np.zeros(3)],
     )
-    p = model.forward(np.random.default_rng(0).normal(size=6))
+    p = forward_one(model, np.random.default_rng(0).normal(size=6))
     np.testing.assert_allclose(p, np.full(3, 1.0 / 3.0), atol=1e-15)
 
 
@@ -55,21 +56,21 @@ def test_softmax_of_known_logits():
     model = MlpClassifier(
         (1, 2), [np.array([[0.0, 0.0]])], [np.array([math.log(2.0), 0.0])]
     )
-    np.testing.assert_allclose(model.forward(np.array([1.0])), [2 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(forward_one(model, np.array([1.0])), [2 / 3, 1 / 3], atol=1e-15)
 
 
 def test_softmax_shift_invariance_in_final_bias():
     model = tiny_model(3)
     x = np.random.default_rng(4).normal(size=model.input_dim)
-    before = model.forward(x)
+    before = forward_one(model, x)
     model.biases[-1] += 17.5
-    np.testing.assert_allclose(model.forward(x), before, atol=1e-12)
+    np.testing.assert_allclose(forward_one(model, x), before, atol=1e-12)
 
 
 def test_forward_rejects_wrong_width():
     model = tiny_model()
     with pytest.raises(ShapeError):
-        model.forward(np.zeros(model.input_dim + 1))
+        forward_one(model, np.zeros(model.input_dim + 1))
     with pytest.raises(ShapeError):
         model.forward_batch(np.zeros((2, model.input_dim + 2)))
 
@@ -106,7 +107,7 @@ def test_initialized_respects_uniform_bounds():
 def test_cross_entropy_handles_hard_zeros():
     # a confident wrong prediction hits the log floor instead of -inf
     model = MlpClassifier((1, 2), [np.zeros((1, 2))], [np.array([0.0, 1000.0])])
-    assert model.forward(np.zeros(1))[0] == 0.0
+    assert forward_one(model, np.zeros(1))[0] == 0.0
     val, _ = weighted_ce_gradient(model, np.zeros((1, 1)), np.array([[1.0, 0.0]]), 1.0)
     assert val == pytest.approx(-math.log(EPS_LOG))
 
@@ -114,7 +115,7 @@ def test_cross_entropy_handles_hard_zeros():
 def test_loss_is_entropy_when_prediction_matches_target():
     model = tiny_model(1)
     x = np.random.default_rng(2).normal(size=model.input_dim)
-    p = model.forward(x)
+    p = forward_one(model, x)
     loss, grads = weighted_ce_gradient(model, x[None, :], p[None, :], np.ones(1))
     entropy = -float(np.sum(p * np.log(p)))
     assert loss == pytest.approx(entropy, rel=1e-12)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import forward_one
 
 from qamatch.errors import ParameterError, ShapeError
 from qamatch.numerics import MlpClassifier, weighted_ce_gradient
@@ -220,11 +221,11 @@ def test_losses_match_scalar_recomputation():
 
     expected_m = 0.0
     for view in (mixed.original, mixed.question, mixed.context):
-        expected_m += sum(ce(t, model.forward(x)) for t, x in zip(targets, view)) / 5
+        expected_m += sum(ce(t, forward_one(model, x)) for t, x in zip(targets, view)) / 5
     assert mix_loss(model, mixed, targets) == pytest.approx(
         expected_m, abs=1e-10
     )
-    expected_c = sum(ce(t, model.forward(x)) for t, x in zip(targets, vq)) / 5
+    expected_c = sum(ce(t, forward_one(model, x)) for t, x in zip(targets, vq)) / 5
     assert anchor_loss(model, vq, targets) == pytest.approx(
         expected_c, abs=1e-10
     )
