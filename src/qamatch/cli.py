@@ -51,16 +51,14 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_int_list(raw: str) -> list:
-    if not raw.strip():
-        return []
-    return [int(part.strip()) for part in raw.split(",")]
-
-
 def _parse_str_list(raw: str) -> list:
     if not raw.strip():
         return []
     return [part.strip() for part in raw.split(",")]
+
+
+def _parse_int_list(raw: str) -> list:
+    return [int(part) for part in _parse_str_list(raw)]
 
 
 def read_config_file(path) -> dict:
@@ -88,9 +86,17 @@ def read_config_file(path) -> dict:
     return entries
 
 
-def resolve_config(schema: dict, defaults: dict, entries: dict, where: str) -> dict:
-    """Overlay file entries on defaults, coercing types per the schema."""
+def resolve_config(args, schema: dict, defaults: dict, presets=None) -> dict:
+    """Layer defaults < preset (generate only) < config file < --seed,
+    coercing file values per the schema."""
+    entries = read_config_file(args.config) if args.config else {}
     resolved = dict(defaults)
+    if presets is not None:
+        preset = args.preset or entries.get("preset", "")
+        if preset and preset not in presets:
+            raise ParameterError(f"unknown preset {preset!r}; choose from {sorted(presets)}")
+        resolved.update(presets.get(preset, {}))
+    where = args.config or "defaults"
     for key, raw in entries.items():
         if key not in schema:
             raise ParameterError(f"{where}: unknown config key {key!r}")
@@ -98,36 +104,27 @@ def resolve_config(schema: dict, defaults: dict, entries: dict, where: str) -> d
             resolved[key] = schema[key](raw)
         except ValueError as e:
             raise ParameterError(f"{where}: bad value for {key!r}: {e}") from None
+    if presets is not None:
+        resolved["preset"] = preset
+    if args.seed is not None:
+        resolved["seed"] = args.seed
     return resolved
 
 
-# Every TrainConfig field is a training key, parsed by the type of its default.
-_PARSERS = {bool: _parse_bool, int: int, float: float, tuple: _parse_int_list}
-TRAIN_SCHEMA = {
-    f.name: _PARSERS[type(f.default)] for f in dataclasses.fields(TrainConfig)
+# A key's parser follows the type of its default; class_names is the one
+# list of strings.
+_PARSERS = {
+    bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_int_list, list: _parse_int_list,
 }
 
 
-GENERATE_SCHEMA = {
-    "preset": str,
-    "num_classes": int,
-    "dim": int,
-    "class_names": _parse_str_list,
-    "separation": float,
-    "noise_sigma": float,
-    "aug_sigma": float,
-    "seed": int,
-    "n_max_labeled": int,
-    "gamma_labeled": float,
-    "n_max_unlabeled": int,
-    "gamma_unlabeled": float,
-    "n_max_valid": int,
-    "n_max_test": int,
-    "labeled_counts": _parse_int_list,
-    "unlabeled_counts": _parse_int_list,
-    "valid_counts": _parse_int_list,
-    "test_counts": _parse_int_list,
-}
+def _schema(defaults: dict) -> dict:
+    return {key: _PARSERS[type(value)] for key, value in defaults.items()}
+
+
+# Every TrainConfig field is a training key.
+TRAIN_DEFAULTS = dataclasses.asdict(TrainConfig())
+TRAIN_SCHEMA = _schema(TRAIN_DEFAULTS)
 
 # Defaults describe the gamma=10 three-class task the analysis experiments
 # run on: 60 labeled / 2000 unlabeled, Gaussian blobs in R^48.
@@ -151,6 +148,8 @@ GENERATE_DEFAULTS = {
     "valid_counts": [],
     "test_counts": [],
 }
+
+GENERATE_SCHEMA = {**_schema(GENERATE_DEFAULTS), "class_names": _parse_str_list}
 
 # Table-proportion preset (65.8 / 21.2 / 13.0 over yes/no/maybe) with the
 # 500 train / 50 validation / 500 test split shape, and a four-class
@@ -199,53 +198,27 @@ def _ensure_out_dir(out, filenames, force: bool):
         )
 
 
-def _write_manifest(out_dir, payload: dict) -> str:
+def _write_manifest(out_dir, payload: dict) -> None:
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return path
 
 
 # -------------------------------------------------------------- commands --
 
 def cmd_generate(args) -> int:
-    entries = read_config_file(args.config) if args.config else {}
-    preset_name = args.preset or entries.get("preset", "") or ""
-    defaults = dict(GENERATE_DEFAULTS)
-    if preset_name:
-        if preset_name not in GENERATE_PRESETS:
-            raise ParameterError(
-                f"unknown preset {preset_name!r}; choose from "
-                f"{sorted(GENERATE_PRESETS)}"
+    resolved = resolve_config(args, GENERATE_SCHEMA, GENERATE_DEFAULTS, GENERATE_PRESETS)
+    # an empty count list takes the n_max/gamma long-tail profile; valid and
+    # test use the labeled gamma
+    for split in ("labeled", "unlabeled", "valid", "test"):
+        if not resolved[f"{split}_counts"]:
+            gamma = resolved["gamma_unlabeled" if split == "unlabeled" else "gamma_labeled"]
+            resolved[f"{split}_counts"] = data_mod.longtail_counts(
+                resolved[f"n_max_{split}"], gamma, resolved["num_classes"]
             )
-        defaults.update(GENERATE_PRESETS[preset_name])
-    resolved = resolve_config(
-        GENERATE_SCHEMA, defaults, entries, args.config or "defaults"
-    )
-    resolved["preset"] = preset_name
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-
-    def counts_for(split_key, n_max_key, gamma_key):
-        if resolved[split_key]:
-            return list(resolved[split_key])
-        return data_mod.longtail_counts(
-            resolved[n_max_key], resolved[gamma_key], resolved["num_classes"]
-        )
-
     cfg = data_mod.SynthConfig(
-        num_classes=resolved["num_classes"],
-        dim=resolved["dim"],
-        separation=resolved["separation"],
-        noise_sigma=resolved["noise_sigma"],
-        aug_sigma=resolved["aug_sigma"],
-        seed=resolved["seed"],
-        labeled_counts=counts_for("labeled_counts", "n_max_labeled", "gamma_labeled"),
-        unlabeled_counts=counts_for("unlabeled_counts", "n_max_unlabeled", "gamma_unlabeled"),
-        valid_counts=counts_for("valid_counts", "n_max_valid", "gamma_labeled"),
-        test_counts=counts_for("test_counts", "n_max_test", "gamma_labeled"),
-        class_names=resolved["class_names"],
+        **{f.name: resolved[f.name] for f in dataclasses.fields(data_mod.SynthConfig)}
     )
     filenames = ["train.jsonl", "valid.jsonl", "test.jsonl", "unlabeled-truth.tsv", "manifest.json"]
     _ensure_out_dir(args.out, filenames, args.force)
@@ -256,7 +229,7 @@ def cmd_generate(args) -> int:
     )
     manifest = {
         "command": "generate",
-        "config": {"preset": preset_name, **dataclasses.asdict(cfg)},
+        "config": {"preset": resolved["preset"], **dataclasses.asdict(cfg)},
         "outputs": {
             os.path.basename(p): _sha256(p) for p in sorted(paths.values())
         },
@@ -266,18 +239,13 @@ def cmd_generate(args) -> int:
 
 
 def resolve_train_config(args) -> TrainConfig:
-    entries = read_config_file(args.config) if args.config else {}
-    resolved = resolve_config(
-        TRAIN_SCHEMA, dataclasses.asdict(TrainConfig()), entries, args.config or "defaults"
-    )
-    if args.seed is not None:
-        resolved["seed"] = args.seed
+    resolved = resolve_config(args, TRAIN_SCHEMA, TRAIN_DEFAULTS)
     if args.supervised_only:
         resolved["use_softmix"] = False
         resolved["use_anchor"] = False
     if args.ablate:
         resolved["use_" + args.ablate] = False
-    resolved["hidden_dims"] = tuple(resolved["hidden_dims"]) or TrainConfig().hidden_dims
+    resolved["hidden_dims"] = tuple(resolved["hidden_dims"]) or TRAIN_DEFAULTS["hidden_dims"]
     return TrainConfig(**resolved)
 
 

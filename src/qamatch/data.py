@@ -31,7 +31,7 @@ import json
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -252,16 +252,7 @@ def write_dataset(path, header: DatasetHeader, *splits) -> None:
     """Emit header + every split's records in order; floats round-trip
     exactly through JSON."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "dim": header.dim,
-                    "class_names": header.class_names,
-                    "labeled_counts": header.labeled_counts,
-                },
-                separators=(",", ":"),
-            )
-        )
+        fh.write(json.dumps(asdict(header), separators=(",", ":")))
         fh.write("\n")
         for split in splits:
             for i, rid in enumerate(split.ids):
@@ -358,6 +349,10 @@ class SynthConfig:
             self.class_names = [f"class{k}" for k in range(self.num_classes)]
         if len(self.class_names) != self.num_classes:
             raise ParameterError("class_names length must equal num_classes")
+        if len(set(self.class_names)) != self.num_classes:
+            raise ParameterError("class_names must be unique")
+        if UNLABELED_SENTINEL in self.class_names:
+            raise ParameterError(f"class name {UNLABELED_SENTINEL!r} marks unlabeled records")
         for name, counts, low in (
             ("labeled_counts", self.labeled_counts, 1),
             ("unlabeled_counts", self.unlabeled_counts, 0),

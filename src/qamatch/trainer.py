@@ -167,7 +167,7 @@ class QAMatchTrainer:
     """
 
     def __init__(
-        self, config: TrainConfig, labeled_counts: list, labeled_X, labeled_y,
+        self, config: TrainConfig, labeled_counts: np.ndarray, labeled_X, labeled_y,
         unl_original, unl_question, unl_context, unl_truth, valid_X, valid_y,
     ):
         self.config = config
@@ -387,7 +387,8 @@ def build_trainer(
     if valid_records:
         valid_X, valid_y = labeled_matrix(valid_records)
     return QAMatchTrainer(
-        config, header.labeled_counts, X, y, orig, qview, cview, truth_arr, valid_X, valid_y
+        config, np.bincount(y, minlength=header.num_classes), X, y, orig, qview, cview,
+        truth_arr, valid_X, valid_y,
     )
 
 

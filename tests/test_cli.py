@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, precedence, manifests, reports."""
 
+import inspect
 import json
 import math
 import os
@@ -14,12 +15,15 @@ import warnings
 import numpy as np
 import pytest
 
+import qamatch
+from qamatch import errors
 from qamatch.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_USAGE,
     GENERATE_PRESETS,
+    GENERATE_SCHEMA,
     TRAIN_SCHEMA,
     _sha256,
     build_parser,
@@ -293,6 +297,11 @@ HOSTILE_INPUTS = [
     pytest.param(generate_with(separation=math.inf), EXIT_USAGE, id="separation-inf"),
     pytest.param(generate_with(noise_sigma=math.inf), EXIT_USAGE, id="noise_sigma-inf"),
     pytest.param(generate_with(aug_sigma=math.nan), EXIT_USAGE, id="aug_sigma-nan"),
+    # "unlabeled" is the loader's sentinel: the train file would not load back
+    pytest.param(generate_with(class_names=["unlabeled", "b", "c"]), EXIT_USAGE,
+                 id="class_names-sentinel"),
+    pytest.param(generate_with(class_names=["a", "a", "b"]), EXIT_USAGE,
+                 id="class_names-duplicate"),
     pytest.param(
         lambda tmp_path, data_dir: ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
                                     "--config", put(tmp_path / "t.cfg", b"seed = \xff\n")],
@@ -378,6 +387,10 @@ def test_hostile_input_exit_code_without_traceback(setup, expected, data_dir, tm
     argv = setup(tmp_path, data_dir)
     assert main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
+    out = tmp_path / "o"
+    if expected == EXIT_USAGE:
+        # a usage or config error is caught before anything is written
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_eval_rejects_non_finite_outputs_without_warnings(data_dir, tmp_path, capsys):
@@ -439,6 +452,50 @@ def test_seed_flag_overrides_config_file(tmp_path):
         ["train", "--data", "d", "--out", "o", "--config", str(cfg), "--seed", "9"]
     )
     assert resolve_train_config(args).seed == 9
+
+
+# (file value, manifest config key, value written there); the n_max/gamma
+# keys show up in the long-tail counts they derive, n_k = floor(n_max *
+# gamma^(-k/2)) over the default three classes (n_max 43/1413/60/200, gamma 10)
+GENERATE_VALUES = {
+    "preset": ("agnews-shape", "preset", "agnews-shape"),
+    "num_classes": ("4", "num_classes", 4),
+    "dim": ("6", "dim", 6),
+    "class_names": ("x, y, z", "class_names", ["x", "y", "z"]),
+    "separation": ("1.5", "separation", 1.5),
+    "noise_sigma": ("0.5", "noise_sigma", 0.5),
+    "aug_sigma": ("0", "aug_sigma", 0.0),
+    "seed": ("7", "seed", 7),
+    "n_max_labeled": ("20", "labeled_counts", [20, 6, 2]),
+    "gamma_labeled": ("4", "labeled_counts", [43, 21, 10]),
+    "n_max_unlabeled": ("100", "unlabeled_counts", [100, 31, 10]),
+    "gamma_unlabeled": ("4", "unlabeled_counts", [1413, 706, 353]),
+    "n_max_valid": ("30", "valid_counts", [30, 9, 3]),
+    "n_max_test": ("50", "test_counts", [50, 15, 5]),
+    "labeled_counts": ("5,3,2", "labeled_counts", [5, 3, 2]),
+    "unlabeled_counts": ("9,0,1", "unlabeled_counts", [9, 0, 1]),
+    "valid_counts": ("3,2,1", "valid_counts", [3, 2, 1]),
+    "test_counts": ("4,2,1", "test_counts", [4, 2, 1]),
+}
+
+
+@pytest.fixture(scope="module")
+def default_generate_config(tmp_path_factory):
+    out = tmp_path_factory.mktemp("default-generate")
+    assert main(["generate", "--out", str(out)]) == EXIT_OK
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+@pytest.mark.parametrize("field", sorted(GENERATE_SCHEMA))
+def test_generate_config_file_overrides_default_per_field(field, tmp_path, default_generate_config):
+    raw, target, expected = GENERATE_VALUES[field]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{field} = {raw}\n")
+    out = tmp_path / "o"
+    assert main(["generate", "--out", str(out), "--config", str(cfg)]) == EXIT_OK
+    resolved = json.loads((out / "manifest.json").read_text())["config"]
+    assert resolved[target] == expected
+    assert default_generate_config[target] != expected
 
 
 def test_preset_layered_between_defaults_and_config(tmp_path):
@@ -649,9 +706,42 @@ def test_console_script_logs_at_info_level(tmp_path):
 # docs
 
 
-def test_readme_configuration_table_names_every_training_key():
+def readme_section(title):
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    documented = {key for cell in rows for key in re.findall(r"`(\w+)`", cell)}
-    assert documented == set(TRAIN_SCHEMA)
+        return fh.read().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_config_tables():
+    """The keys named in the first column of each table under Configuration."""
+    tables = []
+    for block in re.split(r"\n(?!\|)", readme_section("Configuration")):
+        rows = [line.split("|")[1] for line in block.splitlines() if line.startswith("| `")]
+        if rows:
+            tables.append({key for cell in rows for key in re.findall(r"`(\w+)`", cell)})
+    return tables
+
+
+def test_readme_configuration_table_names_every_training_key():
+    assert readme_config_tables()[0] == set(TRAIN_SCHEMA)
+
+
+def test_readme_configuration_table_names_every_generate_key():
+    tables = readme_config_tables()
+    assert len(tables) == 2
+    assert tables[1] == set(GENERATE_SCHEMA)
+
+
+def test_package_root_exports_the_documented_library_names():
+    block = re.search(r"^from qamatch import \(.*?\)$", readme_section("Library"), re.M | re.S)
+    documented = {}
+    exec(block.group(0), documented)
+    documented.pop("__builtins__")
+    error_classes = {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception) and obj.__module__ == errors.__name__
+    }
+    exported = {
+        name for name, obj in vars(qamatch).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert exported == set(documented) | error_classes

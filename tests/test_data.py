@@ -362,6 +362,10 @@ def test_synth_config_validation():
         small_config(labeled_counts=[6, 3])
     with pytest.raises(ParameterError):
         small_config(labeled_counts=[6, 3, 0])
+    with pytest.raises(ParameterError):
+        small_config(class_names=["a", "a", "b"])
+    with pytest.raises(ParameterError):
+        small_config(class_names=["yes", "unlabeled", "no"])  # the loader's sentinel
     cfg = small_config(unlabeled_counts=[0, 0, 0])  # unlabeled may be empty
     assert cfg.unlabeled_counts == [0, 0, 0]
 

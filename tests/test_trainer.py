@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qamatch.calibration import EPS_DIV
 from qamatch.data import (
     DatasetHeader,
+    Split,
     SynthConfig,
     labeled_matrix,
     load_dataset,
@@ -389,6 +391,20 @@ def test_build_trainer_rejects_disagreeing_validation_header(task_dir):
 
 # ---------------------------------------------------------------------------
 # the synthetic task is learnable before any semi-supervised claim is made
+
+
+def test_build_trainer_counts_classes_from_the_labels():
+    # a hand-built header whose labeled_counts disagree with the labels
+    header = DatasetHeader(2, ["a", "b", "c"], [0, 0, 0])
+    rng = np.random.default_rng(0)
+    labeled = Split(["l0", "l1", "l2", "l3"], np.array([0, 1, 2, 0]),
+                    rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trainer = build_trainer(base_config(), header, labeled, None)
+        assert math.isfinite(trainer.step().loss_total)
+    assert trainer.prior.tolist() == [0.5, 0.25, 0.25]
+    np.testing.assert_array_equal(trainer.weight_vector, class_weights([2, 1, 1], 0.9999))
 
 
 def test_separated_blobs_are_learnable_supervised(tmp_path):
