@@ -200,7 +200,7 @@ def _ensure_out_dir(out, filenames, force: bool):
 
 def _write_manifest(out_dir, payload: dict) -> None:
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with data_mod.atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -275,7 +275,7 @@ def cmd_train(args) -> int:
         records = session.run()
     except DivergenceError as e:
         snap_path = os.path.join(args.out, "snapshot.json")
-        with open(snap_path, "w", encoding="utf-8") as fh:
+        with data_mod.atomic_open(snap_path, "w", encoding="utf-8") as fh:
             json.dump(e.snapshot, fh, indent=2)
             fh.write("\n")
         print(f"error: {e}; snapshot written to {snap_path}", file=sys.stderr)

@@ -31,6 +31,7 @@ import json
 import math
 import os
 from array import array
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -122,14 +123,37 @@ def _append_vector(column, raw, dim, what, rid, lineno):
         raise DataFormatError(f"line {lineno}: record {rid!r}: {what} is not finite")
 
 
-def read_text(path) -> str:
-    """Whole UTF-8 text file; undecodable bytes are a DataFormatError naming
-    the path (a UnicodeDecodeError does not carry it)."""
+def read_lines(path):
+    """Yield (lineno, line) for each line of a UTF-8 text file, without its
+    line feed. Lines end only at a line feed (as JSON Lines records do) once
+    universal newlines have turned CRLF and CR into one, and only one line
+    is held at a time. Undecodable bytes are a DataFormatError naming the
+    path (a UnicodeDecodeError does not carry it), raised when the reader
+    reaches them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+@contextmanager
+def atomic_open(path, mode, **kwargs):
+    """Open ``<path>.partial`` for writing and move it onto ``path`` once the
+    block completes, so ``path`` is never left half written. If the block
+    or the move fails, the partial file is removed. A plain ``open`` keeps
+    the usual mode and umask."""
+    partial = f"{path}.partial"
+    fh = open(partial, mode, **kwargs)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as e:
-        raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def parse_json_line(path, lineno: int, line: str, what: str = "JSON"):
@@ -155,11 +179,12 @@ def load_dataset(path):
     id once one is known. Labeled per-class counts are checked against the
     header at the end.
     """
-    lines = read_text(path).splitlines()
-    if not lines:
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise DataFormatError(f"{path}: empty file, expected a header line")
 
-    head = parse_json_line(path, 1, lines[0], "header JSON")
+    head = parse_json_line(path, 1, first[1], "header JSON")
     if not isinstance(head, dict) or sorted(head) != sorted(HEADER_KEYS):
         raise DataFormatError(
             f"{path}: line 1: header must have exactly the keys {list(HEADER_KEYS)}"
@@ -172,7 +197,7 @@ def load_dataset(path):
     labeled_cols = {"q": array("d"), "c": array("d")}
     unlabeled_cols = {key: array("d") for key in ("q", "c", "q_aug", "c_aug")}
     seen_ids = set()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         obj = parse_json_line(path, lineno, line)
@@ -251,7 +276,7 @@ def load_dataset(path):
 def write_dataset(path, header: DatasetHeader, *splits) -> None:
     """Emit header + every split's records in order; floats round-trip
     exactly through JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(asdict(header), separators=(",", ":")))
         fh.write("\n")
         for split in splits:
@@ -274,7 +299,7 @@ def write_dataset(path, header: DatasetHeader, *splits) -> None:
 def load_truth(path) -> dict:
     """Sidecar parser: one "id<TAB>class_name" line per unlabeled record."""
     truth = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t")
@@ -353,6 +378,10 @@ class SynthConfig:
             raise ParameterError("class_names must be unique")
         if UNLABELED_SENTINEL in self.class_names:
             raise ParameterError(f"class name {UNLABELED_SENTINEL!r} marks unlabeled records")
+        for name in self.class_names:
+            # the truth sidecar is one "id<TAB>name" line per record
+            if any(ch in name for ch in "\t\n\r"):
+                raise ParameterError(f"class name {name!r} contains a tab or line break")
         for name, counts, low in (
             ("labeled_counts", self.labeled_counts, 1),
             ("unlabeled_counts", self.unlabeled_counts, 0),
@@ -404,7 +433,7 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
         "truth": os.path.join(out_dir, "unlabeled-truth.tsv"),
     }
     # the truth sidecar keeps the labels the train file strips
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["truth"], "w", encoding="utf-8") as fh:
         fh.writelines(
             f"{rid}\t{cfg.class_names[k]}\n" for rid, k in zip(unlabeled.ids, unlabeled.labels)
         )

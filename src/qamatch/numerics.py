@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .errors import DataFormatError, DivergenceError, ParameterError, ShapeError
 
 # Floor applied to predicted probabilities before taking logs. Guards the
@@ -216,7 +217,7 @@ def sgd_step(model, grads, lr, momentum, velocity=None):
 def save_model(model: MlpClassifier, path) -> None:
     """Versioned binary format: magic, uint32 dim count, uint32 dims, then
     per layer the weight matrix (row-major) and bias as little-endian f64."""
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(model.layer_dims)))
         fh.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
-from .data import labeled_matrix, parse_json_line, read_text, unlabeled_matrices
+from .data import atomic_open, labeled_matrix, parse_json_line, read_lines, unlabeled_matrices
 from .errors import DataFormatError, DivergenceError, ParameterError
 from .metrics import evaluate_model, kl_divergence
 from .numerics import MlpClassifier, fsum_nonneg, sgd_step, weighted_ce_gradient
@@ -394,7 +394,7 @@ def build_trainer(
 
 def write_report(records, path) -> None:
     """One JSON object per line, keys in REPORT_KEYS order."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             ordered = {k: rec[k] for k in REPORT_KEYS}
             fh.write(json.dumps(ordered, separators=(",", ":")))
@@ -413,7 +413,7 @@ def _is_finite_number(value) -> bool:
 def read_report(path) -> list:
     """Parse a report; every field must be a finite number (not a bool) or null."""
     records = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         rec = parse_json_line(path, lineno, line)

@@ -302,6 +302,9 @@ HOSTILE_INPUTS = [
                  id="class_names-sentinel"),
     pytest.param(generate_with(class_names=["a", "a", "b"]), EXIT_USAGE,
                  id="class_names-duplicate"),
+    # the truth sidecar is tab-separated: train would refuse the generated data
+    pytest.param(generate_with(class_names=["a\tb", "c", "d"]), EXIT_USAGE,
+                 id="class_names-tab"),
     pytest.param(
         lambda tmp_path, data_dir: ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
                                     "--config", put(tmp_path / "t.cfg", b"seed = \xff\n")],

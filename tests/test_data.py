@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +242,38 @@ def test_loader_rejects_mutated_files(tmp_path, name, mutate, fragment):
     assert fragment in str(err.value)
 
 
+def test_loader_splits_records_only_at_line_feeds(tmp_path):
+    # U+2028 and U+0085 are line breaks to str.splitlines but valid raw
+    # characters inside a JSON string
+    lines = [
+        {"dim": 1, "class_names": ["yes", "no"], "labeled_counts": [1, 1]},
+        {"id": "a\u2028b", "label": "yes", "q": [0.5], "c": [1.0]},
+        {"id": "c\x85d", "label": "no", "q": [0.0], "c": [0.25]},
+    ]
+    text = "\n".join(json.dumps(line, ensure_ascii=False) for line in lines) + "\n"
+    path = tmp_path / "ds.jsonl"
+    path.write_text(text, encoding="utf-8")
+    _, labeled, _ = load_dataset(path)
+    assert labeled.ids == ["a\u2028b", "c\x85d"]
+
+    path.write_text(text + "{not json\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="line 4: malformed"):
+        load_dataset(path)
+
+
+def test_loader_peak_memory_stays_below_the_file_size(tmp_path):
+    # one line is held at a time, so the peak follows the parsed columns
+    cfg = small_config(dim=8, unlabeled_counts=[1000, 1000, 1000])
+    path = synth_generate(cfg, tmp_path)["train"]
+    tracemalloc.start()
+    try:
+        load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generation
 
@@ -366,6 +400,9 @@ def test_synth_config_validation():
         small_config(class_names=["a", "a", "b"])
     with pytest.raises(ParameterError):
         small_config(class_names=["yes", "unlabeled", "no"])  # the loader's sentinel
+    for sep in "\t\n\r":  # the truth sidecar is one "id<TAB>name" line per record
+        with pytest.raises(ParameterError):
+            small_config(class_names=["a", f"b{sep}c", "d"])
     cfg = small_config(unlabeled_counts=[0, 0, 0])  # unlabeled may be empty
     assert cfg.unlabeled_counts == [0, 0, 0]
 

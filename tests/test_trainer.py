@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -341,6 +342,25 @@ def test_report_roundtrip(task_dir, tmp_path):
     path = tmp_path / "report.jsonl"
     write_report(records, path)
     assert read_report(path) == records
+
+
+def test_failed_report_write_leaves_no_file(task_dir, tmp_path):
+    records = make_trainer(task_dir, iterations=20, eval_interval=10).run()
+    broken = [records[0], {**records[1], "loss_mix": object()}]  # json.dumps raises on it
+    path = tmp_path / "report.jsonl"
+    with pytest.raises(TypeError):
+        write_report(broken, path)
+    assert os.listdir(tmp_path) == []
+
+    write_report(records, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_report(broken, path)
+    assert os.listdir(tmp_path) == ["report.jsonl"]
+    assert path.read_bytes() == before
+    # written through a plain open: the same mode as any new file
+    (tmp_path / "plain").write_text("")
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode
 
 
 def test_report_rejects_malformed_and_misordered(tmp_path):
