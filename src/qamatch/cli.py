@@ -4,8 +4,9 @@ Config files are flat "key = value" text with '#' comments. Every key has
 a documented default, unknown keys are errors (they are how ablation-grid
 typos die loudly), and command-line flags override config values. Each
 generate/train run writes a manifest.json holding the fully resolved
-configuration plus sha256 checksums of the artifacts, which is enough to
-replay the run bit-for-bit.
+configuration plus sha256 checksums of the artifacts (and, for train, of
+the data files it read), which is enough to replay the run bit-for-bit and
+to tell when the data changed since.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 training
 divergence. The QAMATCH_LOG environment variable (debug/info/warning)
@@ -261,6 +262,11 @@ def cmd_train(args) -> int:
         if valid_unlabeled:
             raise DataFormatError("validation file must not contain unlabeled records")
     truth = data_mod.load_truth(truth_path) if os.path.exists(truth_path) else None
+    inputs = {
+        "train.jsonl": _sha256(train_path),
+        "valid.jsonl": _sha256(valid_path) if valid_records is not None else None,
+        "unlabeled-truth.tsv": _sha256(truth_path) if truth is not None else None,
+    }
     session = trainer_mod.build_trainer(
         config, header, labeled, unlabeled, valid_header, valid_records, truth
     )
@@ -293,6 +299,7 @@ def cmd_train(args) -> int:
             "valid": valid_path if valid_records is not None else None,
             "truth": truth_path if truth is not None else None,
         },
+        "inputs": inputs,
         "outputs": {
             "model.qam": _sha256(model_path),
             "report.jsonl": _sha256(report_path),

@@ -31,16 +31,20 @@ EPS_LOG = 1e-12
 MODEL_MAGIC = b"QAM1"
 
 
-def relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z, 0.0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; accepts a single vector or a (B, C) matrix."""
+    """Row-wise stable softmax; accepts a single vector or a (B, C) matrix.
+
+    The row max is taken column by column: exact like ``max(axis=-1)``, and
+    cheaper than numpy's reduction over a short last axis.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    m = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(m, z[..., j : j + 1], out=m)
+    e = z - m
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def fsum_nonneg(values) -> float:
@@ -108,8 +112,10 @@ class MlpClassifier:
         h = X
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            h = z if i == last else relu(z)
+            h = h @ w
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)  # rectifier
             acts.append(h)
         return acts, softmax(acts[-1])
 
@@ -132,15 +138,19 @@ class GradientSet:
             [np.zeros_like(b) for b in model.biases],
         )
 
-    def add_scaled(self, other: "GradientSet", factor: float = 1.0) -> "GradientSet":
+    def add_scaled(self, other: "GradientSet") -> "GradientSet":
         for gw, ow in zip(self.weight_grads, other.weight_grads):
-            gw += factor * ow
+            gw += ow
         for gb, ob in zip(self.bias_grads, other.bias_grads):
-            gb += factor * ob
+            gb += ob
         return self
 
     def check_finite(self) -> None:
         for i, (gw, gb) in enumerate(zip(self.weight_grads, self.bias_grads)):
+            # a finite sum means finite entries; only a non-finite one (which
+            # may also come from finite entries that overflow) needs the scan
+            if math.isfinite(gw.sum()) and math.isfinite(gb.sum()):
+                continue
             if not np.all(np.isfinite(gw)):
                 raise DivergenceError(f"non-finite gradient in layer {i} weights")
             if not np.all(np.isfinite(gb)):
@@ -157,30 +167,38 @@ def weighted_ce_gradient(model, X, targets, weights, denom=None):
     X = np.asarray(X, dtype=np.float64)
     T = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim == 0:
-        w = np.full(X.shape[0], float(w))
-    if X.shape[0] != T.shape[0] or X.shape[0] != w.shape[0]:
-        raise ShapeError("batch, targets and weights must have equal length")
-    if w.size and w.min() < 0:
-        raise ParameterError("example weights must be non-negative")
     n = X.shape[0]
+    if n != T.shape[0] or (w.ndim and n != w.shape[0]):
+        raise ShapeError("batch, targets and weights must have equal length")
+    if n and w.min() < 0:
+        raise ParameterError("example weights must be non-negative")
     denom = float(n if denom is None else denom)
 
+    # Every elementwise step below runs in place on a buffer this call owns,
+    # with the operands in the order of the out-of-place formulas in the
+    # comments, so the results match them bit for bit.
     acts, probs = model._forward_cached(X)
-    logp = np.log(np.maximum(probs, EPS_LOG))
-    per_example = -(T * logp).sum(axis=1)
+    # per_example = -(T * log(max(probs, EPS_LOG))).sum(axis=1)
+    terms = np.maximum(probs, EPS_LOG)
+    np.log(terms, out=terms)
+    np.multiply(T, terms, out=terms)
+    per_example = terms.sum(axis=1)
+    np.negative(per_example, out=per_example)
     loss = fsum_nonneg((w * per_example).tolist()) / denom
 
-    # d loss / d logits for softmax + cross-entropy with constant targets
-    grad_z = (w / denom)[:, None] * (probs - T)
+    # d loss / d logits for softmax + cross-entropy with constant targets:
+    # grad_z = (w / denom)[:, None] * (probs - T)
+    grad_z = probs
+    grad_z -= T
+    np.multiply((w / denom)[..., None], grad_z, out=grad_z)
     weight_grads = [None] * len(model.weights)
     bias_grads = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
         weight_grads[i] = acts[i].T @ grad_z
         bias_grads[i] = grad_z.sum(axis=0)
         if i > 0:
-            grad_h = grad_z @ model.weights[i].T
-            grad_z = grad_h * (acts[i] > 0)  # rectifier mask
+            grad_z = grad_z @ model.weights[i].T
+            grad_z *= acts[i] > 0  # rectifier mask
     return loss, GradientSet(weight_grads, bias_grads)
 
 

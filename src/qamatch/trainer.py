@@ -143,6 +143,9 @@ class _Cycler:
         self.pos = 0
 
     def take(self, k: int) -> np.ndarray:
+        if self.order is not None and k <= self.size - self.pos:
+            self.pos += k
+            return self.order[self.pos - k : self.pos].copy()
         out = np.empty(k, dtype=np.int64)
         filled = 0
         while filled < k:
@@ -212,8 +215,9 @@ class QAMatchTrainer:
         if self.unlabeled_active:
             unl_idx = self._unl_cycle.take(cfg.unlabeled_batch)
 
-        sup_targets = self._eye[self.labeled_y[sup_idx]]
-        sup_w = self.weight_vector[self.labeled_y[sup_idx]] * cfg.scale_supervised
+        sup_y = self.labeled_y[sup_idx]
+        sup_targets = self._eye[sup_y]
+        sup_w = self.weight_vector[sup_y] * cfg.scale_supervised
         loss_sup, grads = weighted_ce_gradient(
             self.model, self.labeled_X[sup_idx], sup_targets, sup_w,
             denom=cfg.labeled_batch,

@@ -563,6 +563,59 @@ def test_train_manifest_replays_identically(data_dir, run_dir, tmp_path):
         assert _sha256(out / name) == digest, name
 
 
+def replay_train(manifest, out):
+    """Replay a train run from its manifest alone: first compare the digests
+    of the data files it read, and train only when none of them changed.
+    Returns the names of the changed inputs."""
+    data = os.path.dirname(manifest["data"]["train"])
+    changed = []
+    for name, digest in manifest["inputs"].items():
+        path = os.path.join(data, name)
+        if (_sha256(path) if os.path.exists(path) else None) != digest:
+            changed.append(name)
+    if not changed:
+        cfg = write_cfg(out.parent / "replay.cfg", **manifest["config"])
+        assert main(["train", "--data", data, "--out", str(out), "--config", cfg]) == EXIT_OK
+    return changed
+
+
+def test_train_manifest_input_digests_replay_and_catch_changed_data(data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    cfg = write_cfg(tmp_path / "train.cfg", **TRAIN_KW)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), "--config", cfg]) == EXIT_OK
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "data", "inputs", "outputs"]
+    generated = json.loads((data / "manifest.json").read_text())["outputs"]
+    names = ["train.jsonl", "valid.jsonl", "unlabeled-truth.tsv"]
+    assert manifest["inputs"] == {name: generated[name] for name in names}
+
+    assert replay_train(manifest, tmp_path / "replayed") == []
+    for name, digest in manifest["outputs"].items():
+        assert _sha256(tmp_path / "replayed" / name) == digest, name
+
+    lines = (data / "train.jsonl").read_text().splitlines(keepends=True)
+    (data / "train.jsonl").write_text("".join(lines[:-1]))
+    assert replay_train(manifest, tmp_path / "stale") == ["train.jsonl"]
+    assert not (tmp_path / "stale").exists()
+
+
+def test_train_manifest_inputs_are_null_for_absent_files(data_dir, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(data_dir / "train.jsonl", data / "train.jsonl")
+    cfg = write_cfg(tmp_path / "train.cfg", **TRAIN_KW)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), "--config", cfg]) == EXIT_OK
+    inputs = json.loads((run / "manifest.json").read_text())["inputs"]
+    assert inputs == {
+        "train.jsonl": _sha256(data_dir / "train.jsonl"),
+        "valid.jsonl": None,
+        "unlabeled-truth.tsv": None,
+    }
+
+
 # ---------------------------------------------------------------------------
 # training-mode flags
 

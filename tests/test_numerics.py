@@ -8,6 +8,7 @@ for exact batch-order invariance (the reductions use exact summation).
 import math
 
 import numpy as np
+import numerics_oracle as oracle
 import pytest
 from conftest import forward_one
 
@@ -200,6 +201,71 @@ def test_loss_invariant_under_batch_permutation():
 
 
 # ---------------------------------------------------------------------------
+# in-place hot path against its out-of-place oracle, byte for byte
+
+
+def _oracle_case(hidden, batch, soft, per_row, poison=None):
+    rng = np.random.default_rng(1000 * len(hidden) + batch)
+    model = MlpClassifier.initialized((16, *hidden, 3), rng)
+    X = rng.normal(scale=2.0, size=(batch, 16))
+    if soft:
+        T = rng.dirichlet(np.full(3, 0.5), size=batch)
+    else:
+        T = np.eye(3)[rng.integers(0, 3, size=batch)]
+    w = rng.uniform(0.1, 3.0, size=batch) if per_row else 0.75
+    if poison is not None:
+        X[0, 3] = poison
+        X[-1, 0] = -poison
+    return model, X, T, w
+
+
+def _bytes(arrays):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("poison", [None, np.inf, np.nan])
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("batch", [1, 60, 256])
+@pytest.mark.parametrize("hidden", [(64,), (32, 16), ()])
+def test_hot_path_is_bitwise_equal_to_the_out_of_place_oracle(hidden, batch, soft, per_row, poison):
+    model, X, T, w = _oracle_case(hidden, batch, soft, per_row, poison)
+    X_before = X.tobytes()
+    with np.errstate(invalid="ignore"):
+        want_loss, want_probs, want_gw, want_gb = oracle.weighted_ce_gradient(
+            model, X, T, w, denom=batch + 4
+        )
+        loss, grads = weighted_ce_gradient(model, X, T, w, denom=batch + 4)
+        probs = model.forward_batch(X)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert probs.tobytes() == want_probs.tobytes()
+    assert _bytes(grads.weight_grads) == _bytes(want_gw)
+    assert _bytes(grads.bias_grads) == _bytes(want_gb)
+    assert X.tobytes() == X_before
+    if poison is not None:
+        assert np.isnan(probs).any() and np.isnan(want_probs).any()
+
+
+def test_softmax_matches_the_oracle_on_vectors_and_matrices():
+    rng = np.random.default_rng(31)
+    for z in (
+        rng.normal(scale=5.0, size=3),
+        rng.normal(scale=5.0, size=(7, 3)),
+        rng.normal(scale=5.0, size=(5, 11)),
+        np.array([-np.inf, 0.0, -2.0]),
+        np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [np.nan, 1.0, 2.0]]),
+    ):
+        with np.errstate(invalid="ignore"):
+            got, want = softmax(z), oracle.softmax(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == want.tobytes()
+    z = rng.normal(size=(4, 3))
+    before = z.tobytes()
+    softmax(z)
+    assert z.tobytes() == before
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 
 
@@ -240,6 +306,36 @@ def test_sgd_rejects_bad_hyperparameters_and_nan_grads():
     with pytest.raises(DivergenceError) as err:
         sgd_step(model, grads, lr=0.1, momentum=0.0)
     assert "layer 0" in str(err.value)
+
+
+def test_check_finite_accepts_finite_gradients_whose_sum_overflows():
+    model = tiny_model()
+    grads = GradientSet.zeros_like(model)
+    grads.weight_grads[0][0, 0] = 1e308
+    grads.weight_grads[0][1, 2] = 1e308
+    grads.bias_grads[1][:2] = 1e308
+    with np.errstate(over="ignore"):
+        grads.check_finite()
+
+
+@pytest.mark.parametrize(
+    "poisoned, message",
+    [
+        ([("bias", 0, np.nan), ("weight", 1, np.inf)], "layer 0 biases"),
+        ([("weight", 1, np.inf), ("bias", 1, np.nan)], "layer 1 weights"),
+        ([("weight", 1, -np.inf), ("bias", 0, np.nan), ("weight", 0, np.inf)], "layer 0 weights"),
+        ([("bias", 1, np.nan)], "layer 1 biases"),
+    ],
+)
+def test_check_finite_names_the_lowest_layer_weights_first(poisoned, message):
+    model = tiny_model()
+    grads = GradientSet.zeros_like(model)
+    for kind, layer, value in poisoned:
+        target = grads.weight_grads if kind == "weight" else grads.bias_grads
+        target[layer].flat[-1] = value
+    with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+        grads.check_finite()
+    assert str(err.value) == f"non-finite gradient in {message}"
 
 
 # ---------------------------------------------------------------------------

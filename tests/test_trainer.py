@@ -25,6 +25,7 @@ from qamatch.rebalance import class_weights
 from qamatch.trainer import (
     REPORT_KEYS,
     TrainConfig,
+    _Cycler,
     build_trainer,
     read_report,
     write_report,
@@ -84,6 +85,41 @@ def make_trainer(task_dir, **overrides):
 
 # ---------------------------------------------------------------------------
 # component toggles change exactly their own loss term at step 1
+
+
+class LoopCycler:
+    """The index stream's reference form: one slice per pass it touches."""
+
+    def __init__(self, size, rng):
+        self.size, self.rng, self.order, self.pos = size, rng, None, 0
+
+    def take(self, k):
+        out = np.empty(k, dtype=np.int64)
+        filled = 0
+        while filled < k:
+            if self.order is None or self.pos >= self.size:
+                self.order = self.rng.permutation(self.size)
+                self.pos = 0
+            n = min(k - filled, self.size - self.pos)
+            out[filled : filled + n] = self.order[self.pos : self.pos + n]
+            self.pos += n
+            filled += n
+        return out
+
+
+def test_cycler_matches_the_reference_stream_and_rng_use():
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    fast, ref = _Cycler(7, rng_a), LoopCycler(7, rng_b)
+    sizes = [1, 3, 7, 10]
+    for k in sizes * 6 + sizes[::-1] * 6 + [0, 7, 0, 3, 10, 10, 1]:
+        got = fast.take(k)
+        assert got.dtype == np.int64
+        assert got.tobytes() == ref.take(k).tobytes()
+        assert fast.pos == ref.pos
+        # both generators have drawn the same numbers so far
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # a returned batch owns its memory, it is not a view of the permutation
+    assert not np.shares_memory(fast.take(3), fast.order)
 
 
 def test_softmix_toggle_changes_only_mix_loss(task_dir):
