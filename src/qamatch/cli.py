@@ -199,8 +199,7 @@ def _ensure_out_dir(out, filenames, force: bool):
         )
 
 
-def _write_manifest(out_dir, payload: dict) -> None:
-    path = os.path.join(out_dir, "manifest.json")
+def _write_json(path, payload: dict) -> None:
     with data_mod.atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -235,7 +234,7 @@ def cmd_generate(args) -> int:
             os.path.basename(p): _sha256(p) for p in sorted(paths.values())
         },
     }
-    _write_manifest(args.out, manifest)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     return EXIT_OK
 
 
@@ -281,9 +280,7 @@ def cmd_train(args) -> int:
         records = session.run()
     except DivergenceError as e:
         snap_path = os.path.join(args.out, "snapshot.json")
-        with data_mod.atomic_open(snap_path, "w", encoding="utf-8") as fh:
-            json.dump(e.snapshot, fh, indent=2)
-            fh.write("\n")
+        _write_json(snap_path, e.snapshot)
         print(f"error: {e}; snapshot written to {snap_path}", file=sys.stderr)
         return EXIT_DIVERGED
 
@@ -305,7 +302,7 @@ def cmd_train(args) -> int:
             "report.jsonl": _sha256(report_path),
         },
     }
-    _write_manifest(args.out, manifest)
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
     final = records[-1]
     if final["val_accuracy"] is not None:
         logger.info(
@@ -325,9 +322,7 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"dataset width {X.shape[1]} does not match model input {model.input_dim}"
         )
-    with np.errstate(all="ignore"):
-        finite = np.isfinite(model.forward_batch(X)).all()
-    if not finite:
+    if not np.isfinite(model.forward_batch(X)).all():
         raise DataFormatError(f"{args.model}: model outputs are not finite on {args.data}")
     record = evaluate_model(model, X, y, header.num_classes)
     print(json.dumps(record, indent=2))
@@ -339,9 +334,8 @@ def _mean_std(arr):
     the values divided by their largest magnitude first; the divided values
     lie in [-1, 1], so the recursion stops there. The mean then stays
     finite; a std past the float range comes back as inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = arr.mean()
-        std = arr.std(ddof=1) if arr.size > 1 else 0.0
+    mean = arr.mean()
+    std = arr.std(ddof=1) if arr.size > 1 else 0.0
     if not (math.isfinite(mean) and math.isfinite(std)):
         scale = float(np.abs(arr).max())
         mean, std = _mean_std(arr / scale)
@@ -426,8 +420,11 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every non-finite value the commands act on is checked and mapped to an
+    # exit code, so numpy's floating-point warnings would only clutter stderr
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

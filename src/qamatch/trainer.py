@@ -124,13 +124,52 @@ class StepResult:
     mixed: MixedViews | None
 
 
-def _mean(values) -> float:
-    """Exact mean of finite values; where their sum overflows a float, the
-    terms are divided by the count before summing, so the mean stays finite."""
-    try:
-        return math.fsum(values) / len(values)
-    except OverflowError:
-        return math.fsum(v / len(values) for v in values)
+class _Interval:
+    """One report interval's sums, taken step by step; ``record`` reads them out."""
+
+    def __init__(self, num_classes: int, unl_truth: np.ndarray | None):
+        self.unl_truth = unl_truth
+        self.sup_losses, self.mix_losses, self.anchor_losses = [], [], []
+        self.pseudo_sum = np.zeros(num_classes)
+        self.rows = self.hits = self.seen = 0
+
+    def add(self, res: StepResult) -> None:
+        self.sup_losses.append(res.loss_supervised)
+        self.mix_losses.append(res.loss_mix)
+        self.anchor_losses.append(res.loss_anchor)
+        pseudo = res.pseudo_targets
+        if pseudo is not None:
+            self.pseudo_sum += pseudo.sum(axis=0)
+            self.rows += pseudo.shape[0]
+            if self.unl_truth is not None:
+                truths = self.unl_truth[res.unl_indices]
+                known = truths >= 0
+                self.hits += int((pseudo.argmax(axis=1)[known] == truths[known]).sum())
+                self.seen += int(known.sum())
+
+    @staticmethod
+    def _mean(values) -> float:
+        """Exact mean of finite values; where their sum overflows a float, each
+        is divided by the count before summing, so the mean stays finite."""
+        try:
+            return math.fsum(values) / len(values)
+        except OverflowError:
+            return math.fsum(v / len(values) for v in values)
+
+    def record(self, iteration: int, prior: np.ndarray, evaluation: dict | None) -> dict:
+        """``evaluation`` is ``evaluate_model`` on the validation set, or None."""
+        return {
+            "iteration": iteration,
+            "loss_rebalanced": self._mean(self.sup_losses),
+            "loss_mix": self._mean(self.mix_losses),
+            "loss_anchor": self._mean(self.anchor_losses),
+            "pseudo_label_accuracy": self.hits / self.seen if self.seen else None,
+            "val_accuracy": None if evaluation is None else evaluation["accuracy"],
+            "val_weighted_f1": None if evaluation is None else evaluation["weighted_f1"],
+            "kl_prior_pseudo": (
+                kl_divergence(prior, self.pseudo_sum / self.rows) if self.rows else None
+            ),
+        }
 
 
 class _Cycler:
@@ -211,10 +250,6 @@ class QAMatchTrainer:
         cfg = self.config
         self.iteration += 1
         sup_idx = self._labeled_cycle.take(cfg.labeled_batch)
-        unl_idx = raw_preds = marginal = pseudo = mixed = None
-        if self.unlabeled_active:
-            unl_idx = self._unl_cycle.take(cfg.unlabeled_batch)
-
         sup_y = self.labeled_y[sup_idx]
         sup_targets = self._eye[sup_y]
         sup_w = self.weight_vector[sup_y] * cfg.scale_supervised
@@ -223,9 +258,12 @@ class QAMatchTrainer:
             denom=cfg.labeled_batch,
         )
 
+        # the supervised pass makes no draws, so the generator order stays as documented
+        unl_idx = raw_preds = marginal = pseudo = mixed = None
         mix_losses = []
         loss_anchor = 0.0
         if self.unlabeled_active:
+            unl_idx = self._unl_cycle.take(cfg.unlabeled_batch)
             orig = self.unl_original[unl_idx]
             qview = self.unl_question[unl_idx]
             raw_preds = self.model.forward_batch(orig)
@@ -270,15 +308,13 @@ class QAMatchTrainer:
             pseudo_targets=pseudo,
             mixed=mixed,
         )
-        if not math.isfinite(loss_total):
-            raise DivergenceError(
-                f"non-finite loss at iteration {self.iteration}",
-                snapshot=self._snapshot(result),
-            )
         try:
+            if not math.isfinite(loss_total):
+                raise DivergenceError(f"non-finite loss at iteration {self.iteration}")
             self.velocity = sgd_step(self.model, grads, cfg.lr, cfg.momentum, self.velocity)
         except DivergenceError as e:
-            raise DivergenceError(str(e), snapshot=self._snapshot(result)) from None
+            e.snapshot = self._snapshot(result)
+            raise
         return result
 
     def _snapshot(self, res: StepResult) -> dict:
@@ -301,52 +337,15 @@ class QAMatchTrainer:
         """
         cfg = self.config
         records = []
-        sup_losses, mix_losses, anchor_losses = [], [], []
-        pseudo_hits = 0
-        pseudo_seen = 0
-        pseudo_sum = np.zeros(self.num_classes)
-        pseudo_rows = 0
+        interval = _Interval(self.num_classes, self.unl_truth)
         for _ in range(cfg.iterations):
-            res = self.step()
-            sup_losses.append(res.loss_supervised)
-            mix_losses.append(res.loss_mix)
-            anchor_losses.append(res.loss_anchor)
-            if res.pseudo_targets is not None:
-                pseudo_sum += res.pseudo_targets.sum(axis=0)
-                pseudo_rows += res.pseudo_targets.shape[0]
-                if self.unl_truth is not None:
-                    truths = self.unl_truth[res.unl_indices]
-                    known = truths >= 0
-                    guesses = res.pseudo_targets.argmax(axis=1)
-                    pseudo_hits += int((guesses[known] == truths[known]).sum())
-                    pseudo_seen += int(known.sum())
+            interval.add(self.step())
             if self.iteration % cfg.eval_interval == 0 or self.iteration == cfg.iterations:
+                ev = None
                 if self.valid_X is not None:
                     ev = evaluate_model(self.model, self.valid_X, self.valid_y, self.num_classes)
-                    val_acc, val_f1 = ev["accuracy"], ev["weighted_f1"]
-                else:
-                    val_acc = val_f1 = None
-                records.append(
-                    {
-                        "iteration": self.iteration,
-                        "loss_rebalanced": _mean(sup_losses),
-                        "loss_mix": _mean(mix_losses),
-                        "loss_anchor": _mean(anchor_losses),
-                        "pseudo_label_accuracy": (
-                            pseudo_hits / pseudo_seen if pseudo_seen else None
-                        ),
-                        "val_accuracy": val_acc,
-                        "val_weighted_f1": val_f1,
-                        "kl_prior_pseudo": (
-                            kl_divergence(self.prior, pseudo_sum / pseudo_rows)
-                            if pseudo_rows
-                            else None
-                        ),
-                    }
-                )
-                sup_losses, mix_losses, anchor_losses = [], [], []
-                pseudo_hits = pseudo_seen = pseudo_rows = 0
-                pseudo_sum = np.zeros(self.num_classes)
+                records.append(interval.record(self.iteration, self.prior, ev))
+                interval = _Interval(self.num_classes, self.unl_truth)
         return records
 
 

@@ -184,6 +184,7 @@ def test_criterion_01_effective_number_closed_form():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_calibration_identity_and_alignment(calibration_runs):
     rng = np.random.default_rng(2)
     identity_err = 0.0
@@ -445,6 +446,7 @@ def test_criterion_06_longtail_profiles_exact():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_minority_recovery(tail_grid):
     full = tail_grid["results"]["full"]
     sup = tail_grid["results"]["supervised"]
@@ -465,6 +467,7 @@ def test_criterion_07_minority_recovery(tail_grid):
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_ablation_ordering(tail_grid):
     results = tail_grid["results"]
     full_mean = np.mean([r["weighted_f1"] for r in results["full"]])
@@ -513,6 +516,7 @@ def test_criterion_09_cli_runs_are_byte_identical(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_pseudo_label_accuracy_trend(calibration_runs):
     firsts, lasts = [], []
     for records in calibration_runs["reports_with"]:

@@ -193,7 +193,6 @@ def test_eval_width_mismatch_is_data_error(run_dir, tmp_path):
     assert rc == EXIT_DATA
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exit_code_and_snapshot(data_dir, tmp_path):
     cfg = write_cfg(tmp_path / "t.cfg", **{**TRAIN_KW, "lr": 1e12, "iterations": 60})
     out = tmp_path / "diverged"
@@ -205,11 +204,13 @@ def test_divergence_exit_code_and_snapshot(data_dir, tmp_path):
 
 # alpha = 0.001: both Gamma variates of a lambda draw underflow to 0.0;
 # scale_mix = 1e308: the sum over a view's rows overflows a float, and with
-# one row per batch the sum of the three views' finite losses does
+# one row per batch the sum of the three views' finite losses does;
+# lr = 1e12: the parameters overflow, and numpy warns on the way there
 @pytest.mark.parametrize("override", [
     {"alpha": 0.001},
     {"scale_mix": 1e308},
     {"scale_mix": 1e308, "unlabeled_batch": 1},
+    {"lr": 1e12, "iterations": 60},
 ])
 def test_non_finite_loss_exits_diverged_without_traceback(data_dir, tmp_path, override):
     cfg = write_cfg(tmp_path / "t.cfg", **{**TRAIN_KW, **override})
@@ -221,7 +222,9 @@ def test_non_finite_loss_exits_diverged_without_traceback(data_dir, tmp_path, ov
     )
     assert proc.returncode == EXIT_DIVERGED, proc.stderr
     assert (out / "snapshot.json").exists()
-    assert "Traceback" not in proc.stderr
+    # no traceback and no numpy warning: the error line is all there is
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_validation_class_names_mismatch_is_data_error(data_dir, tmp_path, capsys):

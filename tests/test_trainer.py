@@ -372,6 +372,97 @@ def test_report_fields_none_when_sources_missing(task_dir):
         assert rec["kl_prior_pseudo"] is None
 
 
+def run_keeping_steps(trainer):
+    """``run()`` with every StepResult kept, and the validation evaluation
+    after every step, through a hook on the instance's ``step``."""
+    steps, evals = [], []
+    inner = trainer.step
+
+    def step():
+        res = inner()
+        steps.append(res)
+        if trainer.valid_X is not None:
+            evals.append(evaluate_model(trainer.model, trainer.valid_X, trainer.valid_y, 3))
+        return res
+
+    trainer.step = step
+    return trainer.run(), steps, evals
+
+
+def recompute_record(steps, prior, truth_of_row, evaluation):
+    """One report record from its interval's steps, in plain Python."""
+    n = len(steps)
+    hits = seen = 0
+    pseudo_rows = []
+    for res in steps:
+        if res.pseudo_targets is None:
+            continue
+        for idx, row in zip(res.unl_indices.tolist(), res.pseudo_targets.tolist()):
+            pseudo_rows.append(row)
+            label = truth_of_row(idx)
+            if label is not None:
+                seen += 1
+                hits += max(range(len(row)), key=row.__getitem__) == label
+    kl = None
+    if pseudo_rows:
+        mean = [math.fsum(col) / len(pseudo_rows) for col in zip(*pseudo_rows)]
+        kl = math.fsum(p * math.log(p / max(q, EPS_DIV)) for p, q in zip(prior, mean) if p > 0)
+    return {
+        "iteration": steps[-1].iteration,
+        "loss_rebalanced": math.fsum(r.loss_supervised for r in steps) / n,
+        "loss_mix": math.fsum(r.loss_mix for r in steps) / n,
+        "loss_anchor": math.fsum(r.loss_anchor for r in steps) / n,
+        "pseudo_label_accuracy": hits / seen if seen else None,
+        "val_accuracy": None if evaluation is None else evaluation["accuracy"],
+        "val_weighted_f1": None if evaluation is None else evaluation["weighted_f1"],
+        "kl_prior_pseudo": kl,
+    }
+
+
+@pytest.mark.parametrize("overrides, with_sources", [
+    (dict(iterations=25, eval_interval=7), True),  # a trailing partial interval
+    (dict(iterations=30, eval_interval=10), True),
+    (dict(iterations=30, eval_interval=10), False),
+    (dict(iterations=30, eval_interval=10, use_softmix=False, use_anchor=False), True),
+], ids=["trailing-partial", "truth-and-validation", "neither", "supervised-only"])
+def test_report_records_equal_their_recomputation(task_dir, overrides, with_sources):
+    header, labeled, unlabeled, vh, vr, truth = load_task(task_dir)
+    # every third unlabeled row loses its truth label, so rows go unscored
+    truth = {rid: name for i, (rid, name) in enumerate(truth.items()) if i % 3}
+    if not with_sources:
+        vh = vr = truth = None
+    cfg = base_config(**overrides)
+    t = build_trainer(cfg, header, labeled, unlabeled, vh, vr, truth)
+    records, steps, evals = run_keeping_steps(t)
+
+    ends = [i for i in range(1, cfg.iterations + 1)
+            if i % cfg.eval_interval == 0 or i == cfg.iterations]
+    assert [rec["iteration"] for rec in records] == ends
+    labels = labeled.labels.tolist()
+    prior = [labels.count(k) / len(labels) for k in range(3)]
+
+    def truth_of_row(idx):
+        name = None if truth is None else truth.get(unlabeled.ids[idx])
+        return None if name is None else header.class_names.index(name)
+
+    for rec, start, end in zip(records, [0, *ends], ends):
+        evaluation = evals[end - 1] if evals else None
+        want = recompute_record(steps[start:end], prior, truth_of_row, evaluation)
+        assert tuple(rec) == REPORT_KEYS
+        got = dict(rec)
+        kl, want_kl = got.pop("kl_prior_pseudo"), want.pop("kl_prior_pseudo")
+        assert got == want
+        if want_kl is None:
+            assert kl is None
+        else:
+            assert abs(kl - want_kl) <= 1e-12
+    unlabeled_pass = cfg.use_softmix or cfg.use_anchor
+    first = records[0]
+    assert (first["pseudo_label_accuracy"] is not None) == (with_sources and unlabeled_pass)
+    assert (first["kl_prior_pseudo"] is not None) == unlabeled_pass
+    assert (first["val_accuracy"] is not None) == with_sources
+
+
 def test_report_roundtrip(task_dir, tmp_path):
     t = make_trainer(task_dir, iterations=20, eval_interval=10)
     records = t.run()
