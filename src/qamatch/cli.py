@@ -432,9 +432,6 @@ def main(argv=None) -> int:
         where = f"{e.filename}: " if e.filename else ""
         print(f"error: {where}{e.strerror or e}", file=sys.stderr)
         return EXIT_DATA
-    except DivergenceError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIVERGED
     except QAMatchError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

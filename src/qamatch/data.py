@@ -27,9 +27,15 @@ without leaking labels into training.
 
 from __future__ import annotations
 
+import io
 import json
+import logging
+import marshal
 import math
 import os
+import signal
+import struct
+import threading
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
@@ -38,11 +44,17 @@ import numpy as np
 
 from .errors import DataFormatError, ParameterError
 
+logger = logging.getLogger("qamatch.data")
+
 UNLABELED_SENTINEL = "unlabeled"
 HEADER_KEYS = ("dim", "class_names", "labeled_counts")
 RECORD_KEYS = ("id", "label", "q", "c", "q_aug", "c_aug")
 # the types json.loads gives JSON numbers; float() would also take str and bool
 _JSON_NUMBERS = frozenset((int, float))
+# A file is parsed in byte ranges of at least this size, one per usable
+# core: a fork and reap of a 60 MB process costs about 2 ms, against about
+# 22 ms to parse 512 KiB, so a file under 1 MiB stays serial.
+_RANGE_MIN_BYTES = 1 << 19
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -123,14 +135,43 @@ def _append_vector(column, raw, dim, what, rid, lineno):
         raise DataFormatError(f"line {lineno}: record {rid!r}: {what} is not finite")
 
 
-def read_lines(path):
+class _ByteBudget(io.RawIOBase):
+    """A raw binary file that ends after ``budget`` more bytes."""
+
+    def __init__(self, raw, budget):
+        self._raw, self._left = raw, budget
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = self._raw.readinto(memoryview(buf)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self):
+        self._raw.close()
+        super().close()
+
+
+def read_lines(path, start=0, stop=None):
     """Yield (lineno, line) for each line of a UTF-8 text file, without its
     line feed. Lines end only at a line feed (as JSON Lines records do) once
     universal newlines have turned CRLF and CR into one, and only one line
     is held at a time. Undecodable bytes are a DataFormatError naming the
     path (a UnicodeDecodeError does not carry it), raised when the reader
-    reaches them."""
-    with open(path, "r", encoding="utf-8") as fh:
+    reaches them.
+
+    ``start`` and ``stop`` limit the reader to the bytes [start, stop), to
+    the end of the file when ``stop`` is None, and number lines from the
+    first line of that range. Where ``start`` and ``stop`` follow a line
+    feed, the range reads as the same lines as in the whole file."""
+    raw = open(path, "rb", buffering=0)
+    if start:
+        raw.seek(start)
+    if stop is not None:
+        raw = _ByteBudget(raw, stop - start)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 yield lineno, line.rstrip("\n")
@@ -167,35 +208,31 @@ def parse_json_line(path, lineno: int, line: str, what: str = "JSON"):
         ) from None
 
 
-def _matrices(columns: dict, dim: int) -> dict:
-    """View each array('d') column as an (n, dim) matrix, without a copy."""
-    return {k: np.frombuffer(col, dtype=np.float64).reshape(-1, dim) for k, col in columns.items()}
+@dataclass
+class _Part:
+    """One kind of record as the record parser finds it, in line order: ids,
+    class indices (None for unlabeled records) and one array('d') per
+    vector column."""
+
+    ids: list
+    labels: list | None
+    cols: dict
+
+    def as_split(self, dim: int) -> Split:
+        """View the columns as (n, dim) matrices, without a copy."""
+        labels = None if self.labels is None else np.array(self.labels, dtype=np.int64)
+        cols = {k: np.frombuffer(col, dtype=np.float64).reshape(-1, dim) for k, col in self.cols.items()}
+        return Split(self.ids, labels, **cols)
 
 
-def load_dataset(path):
-    """Parse a dataset file into (header, labeled Split, unlabeled Split).
-
-    Every violation is reported with the line number, and with the record
-    id once one is known. Labeled per-class counts are checked against the
-    header at the end.
-    """
-    lines = read_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise DataFormatError(f"{path}: empty file, expected a header line")
-
-    head = parse_json_line(path, 1, first[1], "header JSON")
-    if not isinstance(head, dict) or sorted(head) != sorted(HEADER_KEYS):
-        raise DataFormatError(
-            f"{path}: line 1: header must have exactly the keys {list(HEADER_KEYS)}"
-        )
-    header = DatasetHeader(**head)
+def _parse_records(path, header: DatasetHeader, lines):
+    """The record loop of ``load_dataset`` over (lineno, line) pairs: returns
+    the labeled and the unlabeled ``_Part``. Ids are checked for duplicates
+    only among ``lines``, and labeled counts not at all."""
     name_to_index = {n: i for i, n in enumerate(header.class_names)}
-
-    # one column per vector; labeled records' q_aug/c_aug go to a throwaway
-    labeled_ids, labels, unlabeled_ids = [], [], []
-    labeled_cols = {"q": array("d"), "c": array("d")}
-    unlabeled_cols = {key: array("d") for key in ("q", "c", "q_aug", "c_aug")}
+    # labeled records' q_aug/c_aug go to a throwaway column
+    labeled = _Part([], [], {"q": array("d"), "c": array("d")})
+    unlabeled = _Part([], None, {key: array("d") for key in ("q", "c", "q_aug", "c_aug")})
     seen_ids = set()
     for lineno, line in lines:
         if not line.strip():
@@ -242,11 +279,11 @@ def load_dataset(path):
                 raise DataFormatError(
                     f"{path}: line {lineno}: record {rid!r}: missing vector {key!r}"
                 )
-        cols = unlabeled_cols if label is None else labeled_cols
-        _append_vector(cols["q"], obj["q"], header.dim, "q", rid, lineno)
-        _append_vector(cols["c"], obj["c"], header.dim, "c", rid, lineno)
+        part = unlabeled if label is None else labeled
+        _append_vector(part.cols["q"], obj["q"], header.dim, "q", rid, lineno)
+        _append_vector(part.cols["c"], obj["c"], header.dim, "c", rid, lineno)
+        part.ids.append(rid)
         if label is None:
-            unlabeled_ids.append(rid)
             for key in ("q_aug", "c_aug"):
                 if key not in obj:
                     raise DataFormatError(
@@ -254,22 +291,186 @@ def load_dataset(path):
                         f"require {key!r}"
                     )
         else:
-            labeled_ids.append(rid)
-            labels.append(label)
+            labeled.labels.append(label)
         for key in ("q_aug", "c_aug"):
             if key in obj:
-                column = cols[key] if key in cols else array("d")
+                column = part.cols[key] if key in part.cols else array("d")
                 _append_vector(column, obj[key], header.dim, key, rid, lineno)
+    return labeled, unlabeled
 
-    labels = np.array(labels, dtype=np.int64)
-    actual = np.bincount(labels, minlength=header.num_classes).tolist()
+
+def _range_count(path) -> int:
+    """How many byte ranges ``load_dataset`` parses ``path`` in at once: one
+    per usable core, each of at least _RANGE_MIN_BYTES. Only a process
+    with no other thread may fork, so with one alive this is 1, as it is
+    where the platform has no fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _RANGE_MIN_BYTES))
+
+
+def _cut_points(path, ranges: int) -> list:
+    """Offsets 0 < ... < size that split the file into up to ``ranges``
+    ranges of about equal size, each cut just past a line feed. A line feed
+    byte never occurs inside a UTF-8 character, and CRLF stays whole."""
+    size = os.path.getsize(path)
+    cuts = {0, size}
+    with open(path, "rb") as fh:
+        for i in range(1, ranges):
+            fh.seek(size * i // ranges)
+            fh.readline()
+            cuts.add(fh.tell())
+    return sorted(cuts)
+
+
+def _fork_parser(path, header, start: int, stop: int):
+    """Fork a child that parses bytes [start, stop) and writes the result to
+    a pipe (see ``_send``); returns (pid, the pipe's read end). A range
+    from offset 0 starts with the header line, which the child skips."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        lines = read_lines(path, start, stop)
+        if start == 0:
+            next(lines, None)
+        with os.fdopen(write_fd, "wb") as out:
+            _send(out, _parse_records(path, header, lines))
+        status = 0
+    finally:
+        # never return into the parent's code, and run none of its exit hooks
+        os._exit(status)
+
+
+def _send(out, parts) -> None:
+    """A length-prefixed marshal of the ids and labels, then the raw bytes of
+    each part's columns in order."""
+    meta = marshal.dumps([(part.ids, part.labels) for part in parts])
+    out.write(struct.pack("<Q", len(meta)))
+    out.write(meta)
+    for part in parts:
+        for col in part.cols.values():
+            out.write(col)
+
+
+def _read_exact(fh, n: int) -> bytes:
+    blob = fh.read(n)
+    if len(blob) != n:
+        raise EOFError("a range parser ended without its result")
+    return blob
+
+
+def _gather(dim: int, readers, own) -> list:
+    """Join the children's results (in range order) and the parent's own last
+    range into one Split per kind of record. Each column goes straight from
+    its pipe into its slice of the final (n, dim) matrix, one column at a
+    time."""
+    sources = []
+    for fh in readers:
+        (size,) = struct.unpack("<Q", _read_exact(fh, 8))
+        sources.append((fh, marshal.loads(_read_exact(fh, size))))
+    sources.append((None, [(part.ids, part.labels) for part in own]))
+    splits = []
+    for kind, own_part in enumerate(own):
+        ids = [rid for _, meta in sources for rid in meta[kind][0]]
+        labels = None
+        if own_part.labels is not None:
+            labels = np.array([k for _, meta in sources for k in meta[kind][1]], dtype=np.int64)
+        cols = {}
+        for key in list(own_part.cols):
+            matrix = cols[key] = np.empty((len(ids), dim))
+            row = 0
+            for fh, meta in sources:
+                rows = matrix[row : row + len(meta[kind][0])]
+                if fh is None:
+                    # the parent's own column is last; drop it once copied
+                    rows[...] = np.frombuffer(own_part.cols.pop(key)).reshape(rows.shape)
+                elif fh.readinto(rows) != rows.nbytes:
+                    raise EOFError("a range parser ended without its result")
+                row += len(rows)
+        splits.append(Split(ids, labels, **cols))
+    return splits
+
+
+def _parse_in_ranges(path, header, ranges: int):
+    """Parse the records of ``path`` in up to ``ranges`` byte ranges at once:
+    a forked child per range but the last, which this process streams
+    itself. Returns the labeled and unlabeled Splits as ``_parse_records``
+    over the whole file would give them, or None when a range failed, a
+    child ended without its result or an id occurs in two ranges; the
+    serial parse then runs and reports the error. No child outlives the
+    call."""
+    cuts = _cut_points(path, ranges)
+    if len(cuts) < 3:
+        return None
+    children = []
+    splits = None
+    try:
+        for start, stop in zip(cuts, cuts[1:-1]):
+            children.append(_fork_parser(path, header, start, stop))
+        own = _parse_records(path, header, read_lines(path, cuts[-2]))
+        splits = _gather(header.dim, [fh for _, fh in children], own)
+    except Exception:
+        # whatever failed, the serial parse runs next and is the only source
+        # of errors, so each keeps its message and line number
+        logger.debug("parsing %s in byte ranges failed; parsing it serially", path, exc_info=True)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if splits is None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if splits is not None:
+        ids = splits[0].ids + splits[1].ids
+        if len(set(ids)) != len(ids):
+            return None
+    return splits
+
+
+def load_dataset(path):
+    """Parse a dataset file into (header, labeled Split, unlabeled Split).
+
+    Every violation is reported with the line number, and with the record
+    id once one is known. Labeled per-class counts are checked against the
+    header at the end.
+
+    A file of at least two _RANGE_MIN_BYTES ranges is parsed in byte ranges
+    on the usable cores (see ``_range_count``); the result, and any error,
+    is the same as from the serial parse.
+    """
+    lines = read_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise DataFormatError(f"{path}: empty file, expected a header line")
+
+    head = parse_json_line(path, 1, first[1], "header JSON")
+    if not isinstance(head, dict) or sorted(head) != sorted(HEADER_KEYS):
+        raise DataFormatError(
+            f"{path}: line 1: header must have exactly the keys {list(HEADER_KEYS)}"
+        )
+    header = DatasetHeader(**head)
+
+    ranges = _range_count(path)
+    splits = _parse_in_ranges(path, header, ranges) if ranges > 1 else None
+    if splits is None:
+        splits = [part.as_split(header.dim) for part in _parse_records(path, header, lines)]
+    labeled, unlabeled = splits
+
+    actual = np.bincount(labeled.labels, minlength=header.num_classes).tolist()
     if actual != header.labeled_counts:
         raise DataFormatError(
             f"{path}: header labeled_counts {header.labeled_counts} do not match "
             f"the records ({actual})"
         )
-    labeled = Split(labeled_ids, labels, **_matrices(labeled_cols, header.dim))
-    unlabeled = Split(unlabeled_ids, None, **_matrices(unlabeled_cols, header.dim))
     return header, labeled, unlabeled
 
 

@@ -282,6 +282,13 @@ def eval_model_file(blob):
     return setup
 
 
+def eval_data_file(blob):
+    def setup(tmp_path, data_dir):
+        model = put(tmp_path / "model.qam", HUGE_MODEL)
+        return ["eval", "--model", model, "--data", put(tmp_path / "data.jsonl", blob)]
+    return setup
+
+
 def report_of(*blobs):
     return lambda tmp_path, data_dir: [
         "report", *(put(tmp_path / f"r{i}.jsonl", blob) for i, blob in enumerate(blobs))
@@ -379,6 +386,17 @@ HOSTILE_INPUTS = [
             ),
         ),
         EXIT_DATA, id="train-without-labeled-records",
+    ),
+    pytest.param(
+        train_on_edited("valid.jsonl", lambda b: b + json.dumps(
+            {"id": "extra", "label": "unlabeled", **dict.fromkeys(["q", "c", "q_aug", "c_aug"], [0.0] * 6)}
+        ).encode() + b"\n"),
+        EXIT_DATA, id="valid-holds-an-unlabeled-record",
+    ),
+    pytest.param(
+        eval_data_file(json.dumps({"dim": 6, "class_names": ["a", "b", "c"], "labeled_counts": [0, 0, 0]}).encode()
+                       + b"\n"),
+        EXIT_DATA, id="eval-without-labeled-records",
     ),
     # the mean is 0.0, but the sample std is past the float range
     pytest.param(

@@ -1,13 +1,18 @@
 """Dataset format, loader validation, long-tail counts, and generator tests."""
 
+import itertools
 import json
 import math
 import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qamatch import data
 from qamatch.cli import main
 from qamatch.data import (
     DatasetHeader,
@@ -166,75 +171,109 @@ def test_loader_accepts_the_unmutated_file(tmp_path):
     assert header.num_classes == 2 and len(labeled) == 2 and len(unlabeled) == 1
 
 
-@pytest.mark.parametrize(
-    "name,mutate,fragment",
-    [
-        ("empty", lambda ls: [""], "header"),
-        ("badjson", lambda ls: ls[:1] + ["{not json"] + ls[2:], "line 2"),
-        (
-            "extra_header_key",
-            lambda ls: [json.dumps({**json.loads(ls[0]), "extra": 1})] + ls[1:],
-            "header",
-        ),
-        (
-            "missing_counts",
-            lambda ls: [json.dumps({k: v for k, v in json.loads(ls[0]).items() if k != "labeled_counts"})]
-            + ls[1:],
-            "header",
-        ),
-        (
-            "short_vector",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": [0.0]})] + ls[2:],
-            "'a'",
-        ),
-        (
-            "bad_label",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": "maybe"})] + ls[2:],
-            "maybe",
-        ),
-        (
-            "label_index_out_of_range",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": 2})] + ls[2:],
-            "label index",
-        ),
-        (
-            "duplicate_id",
-            lambda ls: ls + [json.dumps({**json.loads(ls[1]), "id": "b"})],
-            "duplicate",
-        ),
-        (
-            "unlabeled_missing_aug",
-            lambda ls: ls[:3]
-            + [json.dumps({k: v for k, v in json.loads(ls[3]).items() if k != "q_aug"})],
-            "q_aug",
-        ),
-        (
-            "unknown_record_key",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "bogus": 1})] + ls[2:],
-            "unknown",
-        ),
-        (
-            "nonfinite_vector",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": [math.inf, 0.0]})] + ls[2:],
-            "finite",
-        ),
-        (
-            "string_vector_entry",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": ["1e3", 0.0]})] + ls[2:],
-            "non-numeric",
-        ),
-        (
-            "bool_vector_entry",
-            lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "c": [0.0, True]})] + ls[2:],
-            "non-numeric",
-        ),
-        (
-            "count_mismatch",
-            lambda ls: ls[:2] + ls[3:],  # drop one labeled record
-            "labeled_counts",
-        ),
-    ],
-)
+# (name, mutation of write_mutated's lines, fragment of the error).
+# HEADER_ERRORS names the rows that fail on the header line.
+MUTATIONS = [
+    ("empty", lambda ls: [""], "header"),
+    ("badjson", lambda ls: ls[:1] + ["{not json"] + ls[2:], "line 2"),
+    (
+        "extra_header_key",
+        lambda ls: [json.dumps({**json.loads(ls[0]), "extra": 1})] + ls[1:],
+        "header",
+    ),
+    (
+        "missing_counts",
+        lambda ls: [json.dumps({k: v for k, v in json.loads(ls[0]).items() if k != "labeled_counts"})]
+        + ls[1:],
+        "header",
+    ),
+    (
+        "short_vector",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": [0.0]})] + ls[2:],
+        "'a'",
+    ),
+    (
+        "bad_label",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": "maybe"})] + ls[2:],
+        "maybe",
+    ),
+    (
+        "label_index_out_of_range",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": 2})] + ls[2:],
+        "label index",
+    ),
+    (
+        "duplicate_id",
+        lambda ls: ls + [json.dumps({**json.loads(ls[1]), "id": "b"})],
+        "duplicate",
+    ),
+    (
+        "unlabeled_missing_aug",
+        lambda ls: ls[:3]
+        + [json.dumps({k: v for k, v in json.loads(ls[3]).items() if k != "q_aug"})],
+        "q_aug",
+    ),
+    (
+        "unknown_record_key",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "bogus": 1})] + ls[2:],
+        "unknown",
+    ),
+    (
+        "nonfinite_vector",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": [math.inf, 0.0]})] + ls[2:],
+        "finite",
+    ),
+    (
+        "string_vector_entry",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "q": ["1e3", 0.0]})] + ls[2:],
+        "non-numeric",
+    ),
+    (
+        "bool_vector_entry",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "c": [0.0, True]})] + ls[2:],
+        "non-numeric",
+    ),
+    (
+        "count_mismatch",
+        lambda ls: ls[:2] + ls[3:],  # drop one labeled record
+        "labeled_counts",
+    ),
+    ("non_object_record", lambda ls: ls[:1] + ["[1, 2]"] + ls[2:], "record needs id and label"),
+    (
+        "empty_id",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "id": ""})] + ls[2:],
+        "empty record id",
+    ),
+    (
+        "true_label",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": True})] + ls[2:],
+        "bad label",
+    ),
+    (
+        "null_label",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": None})] + ls[2:],
+        "bad label",
+    ),
+    (
+        "float_label",
+        lambda ls: ls[:1] + [json.dumps({**json.loads(ls[1]), "label": 0.0})] + ls[2:],
+        "bad label",
+    ),
+    (
+        "missing_q",
+        lambda ls: ls[:1] + [json.dumps({k: v for k, v in json.loads(ls[1]).items() if k != "q"})] + ls[2:],
+        "missing vector 'q'",
+    ),
+    (
+        "header_counts_not_a_list",
+        lambda ls: [ls[0].replace("[1, 1]", "2")] + ls[1:],
+        "labeled_counts must be a list of integers",
+    ),
+]
+HEADER_ERRORS = {"empty", "extra_header_key", "missing_counts", "header_counts_not_a_list"}
+
+
+@pytest.mark.parametrize("name,mutate,fragment", MUTATIONS)
 def test_loader_rejects_mutated_files(tmp_path, name, mutate, fragment):
     path = write_mutated(tmp_path, f"{name}.jsonl", mutate)
     with pytest.raises(DataFormatError) as err:
@@ -261,7 +300,7 @@ def test_loader_splits_records_only_at_line_feeds(tmp_path):
         load_dataset(path)
 
 
-def test_loader_peak_memory_stays_below_the_file_size(tmp_path):
+def assert_peak_memory_below_the_file_size(tmp_path):
     # one line is held at a time, so the peak follows the parsed columns
     cfg = small_config(dim=8, unlabeled_counts=[1000, 1000, 1000])
     path = synth_generate(cfg, tmp_path)["train"]
@@ -272,6 +311,242 @@ def test_loader_peak_memory_stays_below_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < os.path.getsize(path)
+
+
+def test_loader_peak_memory_stays_below_the_file_size(tmp_path):
+    assert_peak_memory_below_the_file_size(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# parsing in byte ranges
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+    reason="byte ranges are parsed by forked children",
+)
+
+
+def parse_in_ranges_everywhere(monkeypatch, cores=2):
+    """Make load_dataset parse every file in byte ranges, as on ``cores``
+    usable cores. Returns the list each _parse_in_ranges result goes to."""
+    monkeypatch.setattr(data, "_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    runs = []
+    real = data._parse_in_ranges
+
+    def spy(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(data, "_parse_in_ranges", spy)
+    return runs
+
+
+def count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_same_splits(expected, actual):
+    assert len(expected) == len(actual) == 2
+    for a, b in zip(expected, actual):
+        assert a.ids == b.ids
+        for key in ("labels", "q", "c", "q_aug", "c_aug"):
+            x, y = getattr(a, key), getattr(b, key)
+            assert (x is None) == (y is None), key
+            if x is not None:
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
+
+
+def write_interleaved(tmp_path, newline, blank_lines, odd_ids):
+    """A generated train file with labeled and unlabeled records alternating,
+    written with ``newline``, a blank line after every record if asked, and
+    ids holding a raw U+2028 and U+0085 if asked."""
+    cfg = small_config(dim=3, unlabeled_counts=[40, 20, 10])
+    with open(synth_generate(cfg, tmp_path)["train"], encoding="utf-8") as fh:
+        header, *records = fh.read().splitlines()
+    labeled, unlabeled = records[:11], records[11:]
+    records = [r for pair in itertools.zip_longest(labeled, unlabeled) for r in pair if r]
+    if odd_ids:
+        records = [
+            json.dumps({**rec, "id": rec["id"] + "\u2028\x85"}, ensure_ascii=False)
+            for rec in map(json.loads, records)
+        ]
+    lines = [header] + [r + newline if blank_lines else r for r in records]
+    path = tmp_path / "interleaved.jsonl"
+    path.write_bytes("".join(line + newline for line in lines).encode("utf-8"))
+    return path
+
+
+@needs_fork
+@pytest.mark.parametrize("ranges", [2, 3, 4])
+@pytest.mark.parametrize(
+    "newline,blank_lines,odd_ids",
+    [("\n", False, False), ("\r\n", False, False), ("\n", True, False),
+     ("\r\n", True, False), ("\n", False, True)],
+    ids=["lf", "crlf", "blank-lines", "crlf-blank-lines", "u2028-ids"],
+)
+def test_parse_in_ranges_matches_the_serial_parse(tmp_path, ranges, newline, blank_lines, odd_ids):
+    path = write_interleaved(tmp_path, newline, blank_lines, odd_ids)
+    assert os.path.getsize(path) < 2 * data._RANGE_MIN_BYTES  # load_dataset parses it serially
+    header, *serial = load_dataset(path)
+    assert len(serial[0]) == 11 and len(serial[1]) == 70
+    cuts = data._cut_points(path, ranges)
+    assert len(cuts) == ranges + 1
+    if blank_lines:  # every cut is next to a blank line
+        raw = path.read_bytes()
+        nl = newline.encode()
+        assert all(raw[c - 2 * len(nl) : c] == 2 * nl or raw[c : c + len(nl)] == nl for c in cuts[1:-1])
+    assert_same_splits(serial, data._parse_in_ranges(path, header, ranges))
+    assert_no_child_left()
+
+
+# valid unlabeled records put after write_mutated's header, so that the
+# mutated lines lie in the last of two byte ranges
+PADDING = [
+    json.dumps({"id": f"p{i:03d}", "label": "unlabeled", "q": [0.25, 0.5], "c": [0.5, 0.25],
+                "q_aug": [0.25, 0.75], "c_aug": [0.75, 0.25]})
+    for i in range(40)
+]
+
+
+def padded(lines):
+    return lines[:1] + PADDING + lines[1:]
+
+
+@needs_fork
+@pytest.mark.parametrize("name,mutate", [row[:2] for row in MUTATIONS])
+def test_loader_in_ranges_reports_what_the_serial_parse_does(tmp_path, monkeypatch, name, mutate):
+    path = write_mutated(tmp_path, f"{name}.jsonl", lambda ls: padded(mutate(ls)))
+    with pytest.raises(DataFormatError) as serial:
+        load_dataset(path)
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    with pytest.raises(DataFormatError) as ranged:
+        load_dataset(path)
+    assert str(ranged.value) == str(serial.value)
+    assert_no_child_left()
+    if name in HEADER_ERRORS:
+        assert runs == []
+    else:
+        assert len(runs) == 1
+        padding_end = len("\n".join(path.read_text().split("\n")[: 1 + len(PADDING)])) + 1
+        assert data._cut_points(path, 2)[1] <= padding_end
+
+
+@needs_fork
+def test_loader_in_ranges_reports_a_duplicate_across_ranges(tmp_path, monkeypatch):
+    path = write_mutated(tmp_path, "dup.jsonl", lambda ls: padded(ls) + [PADDING[0]])
+    with pytest.raises(DataFormatError) as serial:
+        load_dataset(path)
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    with pytest.raises(DataFormatError) as ranged:
+        load_dataset(path)
+    assert str(ranged.value) == str(serial.value)
+    assert "line 45: duplicate record id 'p000'" in str(ranged.value)
+    assert runs == [None]
+    # the copies sit in different ranges
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines[0]) + 1 < data._cut_points(path, 2)[1] < len(b"\n".join(lines[:44])) + 1
+    assert_no_child_left()
+
+
+@needs_fork
+def test_loader_in_ranges_forks_below_the_core_count_and_leaves_no_child(tmp_path, monkeypatch):
+    path = write_mutated(tmp_path, "ok.jsonl", padded)
+    expected = load_dataset(path)
+    threads = threading.active_count()
+    runs = parse_in_ranges_everywhere(monkeypatch, cores=3)
+    forks = count_forks(monkeypatch)
+    header, *splits = load_dataset(path)
+    assert runs[0] is not None and len(forks) == 2
+    assert header == expected[0]
+    assert_same_splits(expected[1:], splits)
+    assert threading.active_count() == threads
+    assert_no_child_left()
+
+    bad = write_mutated(tmp_path, "bad.jsonl", lambda ls: padded(ls) + ["{not json"])
+    with pytest.raises(DataFormatError, match="line 45: malformed"):
+        load_dataset(bad)
+    assert runs[1] is None
+    assert_no_child_left()
+
+
+def kill_after(lines, n):
+    for i, item in enumerate(lines):
+        if i == n:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield item
+
+
+@needs_fork
+def test_loader_in_ranges_survives_a_child_killed_mid_parse(tmp_path, monkeypatch):
+    path = write_mutated(tmp_path, "ok.jsonl", padded)
+    expected = load_dataset(path)
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    parent = os.getpid()
+    real = data._parse_records
+
+    def parse(path, header, lines):
+        return real(path, header, lines if os.getpid() == parent else kill_after(lines, 5))
+
+    monkeypatch.setattr(data, "_parse_records", parse)
+    header, *splits = load_dataset(path)
+    assert runs == [None]
+    assert header == expected[0]
+    assert_same_splits(expected[1:], splits)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_loader_in_ranges_kills_its_children_when_a_range_fails(tmp_path, monkeypatch):
+    path = write_mutated(tmp_path, "bad.jsonl", lambda ls: padded(ls) + ["{not json"])
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    parent = os.getpid()
+    real = data._parse_records
+
+    def parse(path, header, lines):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(path, header, lines)
+
+    monkeypatch.setattr(data, "_parse_records", parse)
+    start = time.monotonic()
+    with pytest.raises(DataFormatError, match="line 45: malformed"):
+        load_dataset(path)
+    assert time.monotonic() - start < 30
+    assert runs == [None]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_loader_parses_serially_while_another_thread_runs(tmp_path, monkeypatch):
+    path = write_mutated(tmp_path, "ok.jsonl", padded)
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    forks = count_forks(monkeypatch)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        load_dataset(path)
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert runs == [] and forks == []
+
+
+@needs_fork
+def test_loader_peak_memory_stays_below_the_file_size_in_ranges(tmp_path, monkeypatch):
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    assert_peak_memory_below_the_file_size(tmp_path)
+    assert len(runs) == 1 and runs[0] is not None
 
 
 # ---------------------------------------------------------------------------
