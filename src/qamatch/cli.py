@@ -245,7 +245,6 @@ def resolve_train_config(args) -> TrainConfig:
         resolved["use_anchor"] = False
     if args.ablate:
         resolved["use_" + args.ablate] = False
-    resolved["hidden_dims"] = tuple(resolved["hidden_dims"]) or TRAIN_DEFAULTS["hidden_dims"]
     return TrainConfig(**resolved)
 
 

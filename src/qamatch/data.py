@@ -198,11 +198,12 @@ def atomic_open(path, mode, **kwargs):
 
 
 def parse_json_line(path, lineno: int, line: str, what: str = "JSON"):
-    """One JSON value; malformed JSON, or an integer past Python's digit
-    limit for int conversion (a plain ValueError), is a DataFormatError."""
+    """One JSON value; malformed JSON, an integer past Python's digit limit
+    for int conversion (a plain ValueError), or arrays or objects nested
+    past the recursion limit (a RecursionError), is a DataFormatError."""
     try:
         return json.loads(line)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise DataFormatError(
             f"{path}: line {lineno}: malformed {what} ({getattr(e, 'msg', e)})"
         ) from None

@@ -271,7 +271,8 @@ def train_on_edited(name, edit):
         edited = edit(blob)
         assert edited != blob
         put(data / name, edited)
-        return ["train", "--data", str(data), "--out", str(tmp_path / "o")]
+        return ["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                "--config", write_cfg(tmp_path / "t.cfg", **TRAIN_KW)]
     return setup
 
 
@@ -286,6 +287,14 @@ def eval_data_file(blob):
     def setup(tmp_path, data_dir):
         model = put(tmp_path / "model.qam", HUGE_MODEL)
         return ["eval", "--model", model, "--data", put(tmp_path / "data.jsonl", blob)]
+    return setup
+
+
+def train_with_config_at(config_path):
+    """Train with ``--config`` set to ``config_path(tmp_path)``."""
+    def setup(tmp_path, data_dir):
+        return ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
+                "--config", config_path(tmp_path)]
     return setup
 
 
@@ -315,11 +324,21 @@ HOSTILE_INPUTS = [
     # the truth sidecar is tab-separated: train would refuse the generated data
     pytest.param(generate_with(class_names=["a\tb", "c", "d"]), EXIT_USAGE,
                  id="class_names-tab"),
-    pytest.param(
-        lambda tmp_path, data_dir: ["train", "--data", str(data_dir), "--out", str(tmp_path / "o"),
-                                    "--config", put(tmp_path / "t.cfg", b"seed = \xff\n")],
-        EXIT_USAGE, id="config-not-utf8",
-    ),
+    pytest.param(train_with_config_at(lambda tmp: put(tmp / "t.cfg", b"seed = \xff\n")), EXIT_USAGE,
+                 id="config-not-utf8"),
+    pytest.param(train_with_config_at(lambda tmp: put(tmp / "t.cfg", b"# seed\n\nseed 3\n")), EXIT_USAGE,
+                 id="config-line-without-equals"),
+    pytest.param(train_with_config_at(lambda tmp: str(tmp)), EXIT_USAGE, id="config-is-a-directory"),
+    pytest.param(train_with(use_softmix="maybe"), EXIT_USAGE, id="bool-maybe"),
+    # each TrainConfig check, at the first value it rejects
+    *(pytest.param(train_with(**{key: value}), EXIT_USAGE, id=f"{key}-{value}") for key, value in [
+        ("temperature", 0), ("alpha", 0), ("beta", 1), ("window", 0), ("lr", 0), ("momentum", 1),
+        ("labeled_batch", 0), ("iterations", 0), ("eval_interval", 0), ("hidden_dims", [0]),
+        ("scale_mix", -1),
+    ]),
+    pytest.param(generate_with(class_names=["a", "b"]), EXIT_USAGE, id="class_names-two-of-three"),
+    # GEN_KW gives all four count lists, so no long-tail profile is drawn first
+    pytest.param(generate_with(num_classes=1), EXIT_USAGE, id="num_classes-1"),
     # per-step loss_mix stays near 1.4e307, so the 20-step interval sum overflows
     pytest.param(
         train_with(scale_mix=5e306, unlabeled_batch=2, lr=1e-315,
@@ -356,6 +375,21 @@ HOSTILE_INPUTS = [
     pytest.param(report_of(json.dumps({**REPORT_RECORD, "val_accuracy": "x"}).encode()),
                  EXIT_DATA, id="report-metric-string"),
     pytest.param(eval_model_file(b"QAM1"), EXIT_DATA, id="model-magic-only"),
+    pytest.param(eval_model_file(b"QAM1" + struct.pack("<I", 65)), EXIT_DATA, id="model-65-layers"),
+    pytest.param(eval_model_file(b"QAM1" + struct.pack("<3I", 3, 12, 8)), EXIT_DATA,
+                 id="model-header-cut-in-dims"),
+    pytest.param(eval_data_file(b""), EXIT_DATA, id="eval-empty-dataset"),
+    pytest.param(
+        eval_data_file(json.dumps({"dim": 6, "class_names": ["a", "b", "c"], "labeled_counts": [1, 0, 0]}).encode()
+                       + b'\n{"id":"x","label":"a","q":' + b"[" * 1500 + b"]" * 1500 + b',"c":[]}\n'),
+        EXIT_DATA, id="eval-deeply-nested-record",
+    ),
+    pytest.param(report_of(b'{"iteration":' + b"[" * 1500 + b"]" * 1500 + b"}\n"), EXIT_DATA,
+                 id="report-deeply-nested-record"),
+    # blank lines are skipped
+    pytest.param(train_on_edited("unlabeled-truth.tsv", lambda b: b + b"\n"), EXIT_OK, id="truth-blank-line"),
+    pytest.param(report_of(b"\n" + json.dumps(REPORT_RECORD).encode() + b"\n\n"), EXIT_OK,
+                 id="report-blank-lines"),
     pytest.param(eval_model_file(b"QAM1" + struct.pack("<4I", 3, 12, 0, 3) + bytes(8 * 3)),
                  EXIT_DATA, id="model-zero-layer-dim"),
     pytest.param(report_of(json.dumps(REPORT_RECORD).replace("0.5", "1" + "0" * 400, 1).encode()),
@@ -412,8 +446,8 @@ def test_hostile_input_exit_code_without_traceback(setup, expected, data_dir, tm
     assert main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
     out = tmp_path / "o"
-    if expected == EXIT_USAGE:
-        # a usage or config error is caught before anything is written
+    if expected in (EXIT_USAGE, EXIT_DATA):
+        # a usage, config or data error is caught before anything is written
         assert not out.exists() or not any(out.iterdir())
 
 
@@ -600,6 +634,18 @@ def replay_train(manifest, out):
     return changed
 
 
+def test_empty_hidden_dims_trains_and_replays_a_linear_model(data_dir, tmp_path):
+    cfg = write_cfg(tmp_path / "t.cfg", **{**TRAIN_KW, "hidden_dims": []})
+    assert "hidden_dims = \n" in (tmp_path / "t.cfg").read_text()
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data_dir), "--out", str(out), "--config", cfg]) == EXIT_OK
+    assert load_model(out / "model.qam").layer_dims == (2 * GEN_KW["dim"], GEN_KW["num_classes"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["hidden_dims"] == []
+    assert replay_train(manifest, tmp_path / "replay") == []
+    assert _sha256(tmp_path / "replay" / "model.qam") == _sha256(out / "model.qam")
+
+
 def test_train_manifest_input_digests_replay_and_catch_changed_data(data_dir, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(data_dir, data)
@@ -723,6 +769,17 @@ def test_report_identical_runs_have_zero_std(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     acc = summary["metrics"]["val_accuracy"]
     assert acc["mean"] == pytest.approx(0.66) and acc["std"] == 0.0
+
+
+def test_report_counts_no_values_where_a_metric_is_null_in_every_file(tmp_path, capsys):
+    paths = []
+    for i in range(3):
+        write_report([{**REPORT_RECORD, "pseudo_label_accuracy": None}], tmp_path / f"r{i}.jsonl")
+        paths.append(str(tmp_path / f"r{i}.jsonl"))
+    assert main(["report", *paths]) == EXIT_OK
+    metrics = json.loads(capsys.readouterr().out)["metrics"]
+    assert metrics["pseudo_label_accuracy"] == {"mean": None, "std": None, "count": 0}
+    assert metrics["loss_mix"] == {"mean": 0.5, "std": 0.0, "count": 3}
 
 
 def test_report_stays_finite_when_the_sum_overflows(tmp_path, capsys):

@@ -176,6 +176,12 @@ def test_loader_accepts_the_unmutated_file(tmp_path):
 MUTATIONS = [
     ("empty", lambda ls: [""], "header"),
     ("badjson", lambda ls: ls[:1] + ["{not json"] + ls[2:], "line 2"),
+    # json.loads raises RecursionError on nesting past the recursion limit
+    (
+        "deeply_nested_q",
+        lambda ls: ls[:1] + [ls[1].replace('"q": [0.0, 0.0]', '"q": ' + "[" * 1500 + "]" * 1500)] + ls[2:],
+        "line 2: malformed JSON",
+    ),
     (
         "extra_header_key",
         lambda ls: [json.dumps({**json.loads(ls[0]), "extra": 1})] + ls[1:],

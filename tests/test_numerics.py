@@ -22,6 +22,7 @@ from qamatch.numerics import (
     EPS_LOG,
     GradientSet,
     MlpClassifier,
+    fsum_nonneg,
     load_model,
     save_model,
     softmax,
@@ -32,6 +33,12 @@ from qamatch.numerics import (
 
 def tiny_model(seed=0, dims=(4, 5, 3)):
     return MlpClassifier.initialized(dims, np.random.default_rng(seed))
+
+
+def test_fsum_nonneg_is_inf_where_finite_terms_sum_past_the_float_range():
+    assert fsum_nonneg([1e308, 1e308]) == math.inf
+    assert fsum_nonneg([1e308, 0.5, 1e308]) == math.inf
+    assert fsum_nonneg([1e308, 0.5]) == 1e308
 
 
 # ---------------------------------------------------------------------------

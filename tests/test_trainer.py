@@ -515,6 +515,17 @@ def test_same_seed_same_report_and_model(task_dir):
         np.testing.assert_array_equal(wa, wb)
 
 
+@pytest.mark.parametrize("overrides", [{}, {"use_calibration": False}], ids=["full", "no_calibration"])
+def test_short_run_reports_the_prefix_of_a_longer_run(task_dir, overrides):
+    # the acceptance grid reads criteria 2 and 10 off the first records of
+    # its longer runs; this fails once a step depends on the run's length,
+    # as a learning-rate schedule over ``iterations`` would make it
+    short = make_trainer(task_dir, iterations=20, eval_interval=5, **overrides).run()
+    long = make_trainer(task_dir, iterations=40, eval_interval=5, **overrides).run()
+    assert len(short) == 4 and len(long) == 8
+    assert json.dumps(short) == json.dumps(long[:4])
+
+
 # ---------------------------------------------------------------------------
 # construction errors
 
