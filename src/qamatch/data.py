@@ -51,10 +51,13 @@ HEADER_KEYS = ("dim", "class_names", "labeled_counts")
 RECORD_KEYS = ("id", "label", "q", "c", "q_aug", "c_aug")
 # the types json.loads gives JSON numbers; float() would also take str and bool
 _JSON_NUMBERS = frozenset((int, float))
-# A file is parsed in byte ranges of at least this size, one per usable
-# core: a fork and reap of a 60 MB process costs about 2 ms, against about
-# 22 ms to parse 512 KiB, so a file under 1 MiB stays serial.
+# A file is parsed or written in byte ranges of at least this size, one per
+# usable core: a fork and reap of a 60 MB process costs about 2 ms, against
+# about 22 ms to parse 512 KiB and about 35 ms to encode it, so a file
+# under 1 MiB stays serial.
 _RANGE_MIN_BYTES = 1 << 19
+# the most of a range child's output held in memory at once
+_COPY_CHUNK_BYTES = 1 << 20
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -300,14 +303,14 @@ def _parse_records(path, header: DatasetHeader, lines):
     return labeled, unlabeled
 
 
-def _range_count(path) -> int:
-    """How many byte ranges ``load_dataset`` parses ``path`` in at once: one
-    per usable core, each of at least _RANGE_MIN_BYTES. Only a process
+def _range_count(nbytes: int) -> int:
+    """How many ranges ``nbytes`` of file are parsed or written in at once:
+    one per usable core, each of at least _RANGE_MIN_BYTES. Only a process
     with no other thread may fork, so with one alive this is 1, as it is
     where the platform has no fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), os.path.getsize(path) // _RANGE_MIN_BYTES))
+    return max(1, min(len(os.sched_getaffinity(0)), nbytes // _RANGE_MIN_BYTES))
 
 
 def _cut_points(path, ranges: int) -> list:
@@ -324,10 +327,11 @@ def _cut_points(path, ranges: int) -> list:
     return sorted(cuts)
 
 
-def _fork_parser(path, header, start: int, stop: int):
-    """Fork a child that parses bytes [start, stop) and writes the result to
-    a pipe (see ``_send``); returns (pid, the pipe's read end). A range
-    from offset 0 starts with the header line, which the child skips."""
+def _fork(job):
+    """Fork a child that runs ``job(out)``, with ``out`` the binary write end
+    of a pipe, and exits; returns (pid, the pipe's read end). The child
+    exits with status 0 only once ``job`` has returned and ``out`` is
+    closed."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -341,15 +345,44 @@ def _fork_parser(path, header, start: int, stop: int):
     status = 1
     try:
         os.close(read_fd)
-        lines = read_lines(path, start, stop)
-        if start == 0:
-            next(lines, None)
         with os.fdopen(write_fd, "wb") as out:
-            _send(out, _parse_records(path, header, lines))
+            job(out)
         status = 0
     finally:
-        # never return into the parent's code, and run none of its exit hooks
+        # never return into the parent's code: run none of its exit hooks,
+        # cleanups or error handling, and flush none of its buffers
         os._exit(status)
+
+
+def _in_children(jobs, work):
+    """Run each of ``jobs`` in a forked child (see ``_fork``) while this
+    process runs ``work(readers)``, with the children's pipes in job order.
+    Returns what ``work`` returns, or None when a fork failed, ``work``
+    raised or a child exited with another status than 0; the caller then
+    does the whole job serially. A child is SIGKILLed unless ``work``
+    returned, and every child is reaped before this returns or raises."""
+    children = []
+    done = False
+    result = None
+    try:
+        for job in jobs:
+            children.append(_fork(job))
+        result = work([fh for _, fh in children])
+        done = True
+    except Exception:
+        # whatever failed, the serial path runs next and is the only source
+        # of errors, so each keeps its message
+        logger.debug("a job in forked ranges failed; doing it serially", exc_info=True)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+            if done and status:
+                logger.debug("a range child ended with wait status %#x; doing it serially", status)
+                done = False
+    return result if done else None
 
 
 def _send(out, parts) -> None:
@@ -366,7 +399,7 @@ def _send(out, parts) -> None:
 def _read_exact(fh, n: int) -> bytes:
     blob = fh.read(n)
     if len(blob) != n:
-        raise EOFError("a range parser ended without its result")
+        raise EOFError("a range child ended without its result")
     return blob
 
 
@@ -396,7 +429,7 @@ def _gather(dim: int, readers, own) -> list:
                     # the parent's own column is last; drop it once copied
                     rows[...] = np.frombuffer(own_part.cols.pop(key)).reshape(rows.shape)
                 elif fh.readinto(rows) != rows.nbytes:
-                    raise EOFError("a range parser ended without its result")
+                    raise EOFError("a range child ended without its result")
                 row += len(rows)
         splits.append(Split(ids, labels, **cols))
     return splits
@@ -413,23 +446,21 @@ def _parse_in_ranges(path, header, ranges: int):
     cuts = _cut_points(path, ranges)
     if len(cuts) < 3:
         return None
-    children = []
-    splits = None
-    try:
-        for start, stop in zip(cuts, cuts[1:-1]):
-            children.append(_fork_parser(path, header, start, stop))
+
+    def parse(start, stop):
+        def job(out):
+            lines = read_lines(path, start, stop)
+            if start == 0:  # skip the header line
+                next(lines, None)
+            _send(out, _parse_records(path, header, lines))
+
+        return job
+
+    def own_range(readers):
         own = _parse_records(path, header, read_lines(path, cuts[-2]))
-        splits = _gather(header.dim, [fh for _, fh in children], own)
-    except Exception:
-        # whatever failed, the serial parse runs next and is the only source
-        # of errors, so each keeps its message and line number
-        logger.debug("parsing %s in byte ranges failed; parsing it serially", path, exc_info=True)
-    finally:
-        for pid, fh in children:
-            fh.close()
-            if splits is None:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        return _gather(header.dim, readers, own)
+
+    splits = _in_children([parse(start, stop) for start, stop in zip(cuts, cuts[1:-1])], own_range)
     if splits is not None:
         ids = splits[0].ids + splits[1].ids
         if len(set(ids)) != len(ids):
@@ -460,7 +491,7 @@ def load_dataset(path):
         )
     header = DatasetHeader(**head)
 
-    ranges = _range_count(path)
+    ranges = _range_count(os.path.getsize(path))
     splits = _parse_in_ranges(path, header, ranges) if ranges > 1 else None
     if splits is None:
         splits = [part.as_split(header.dim) for part in _parse_records(path, header, lines)]
@@ -475,27 +506,117 @@ def load_dataset(path):
     return header, labeled, unlabeled
 
 
+def _json_line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _record_lines(header: DatasetHeader, split: Split, start: int, stop: int):
+    """The file line of each record ``start`` <= i < ``stop`` of ``split``."""
+    for i in range(start, stop):
+        obj = {
+            "id": split.ids[i],
+            "label": UNLABELED_SENTINEL
+            if split.labels is None
+            else header.class_names[split.labels[i]],
+            "q": split.q[i].tolist(),
+            "c": split.c[i].tolist(),
+        }
+        if split.q_aug is not None:
+            obj["q_aug"] = split.q_aug[i].tolist()
+            obj["c_aug"] = split.c_aug[i].tolist()
+        yield _json_line(obj)
+
+
+def _record_ranges(header: DatasetHeader, splits) -> list:
+    """Cut the records of ``splits``, taken in order, into contiguous ranges
+    of about equal output size, as many as ``_range_count`` gives for the
+    whole. Each range is a list of (split, start, stop) pieces. A record's
+    size is taken to be that of its split's first record."""
+    try:
+        sizes = [len(next(_record_lines(header, split, 0, 1))) if len(split) else 0 for split in splits]
+    except Exception:
+        # a record that cannot be written: the serial write reports the first
+        return []
+    total = sum(size * len(split) for size, split in zip(sizes, splits))
+    ranges = _range_count(total)
+    pieces = [[] for _ in range(ranges)]
+    before = 0  # the size of the records ahead of this split
+    for split, size in zip(splits, sizes):
+        if not len(split):
+            continue
+        # range k holds the records that start in [k, k + 1) * total / ranges
+        edges = [
+            min(len(split), max(0, -((before * ranges - k * total) // (size * ranges))))
+            for k in range(ranges + 1)
+        ]
+        for k in range(ranges):
+            if edges[k] < edges[k + 1]:
+                pieces[k].append((split, edges[k], edges[k + 1]))
+        before += size * len(split)
+    return [piece for piece in pieces if piece]
+
+
+def _write_records(fh, header: DatasetHeader, pieces) -> None:
+    for split, start, stop in pieces:
+        fh.writelines(_record_lines(header, split, start, stop))
+
+
+def _copy_blob(src, dst) -> None:
+    """Copy one length-prefixed blob from ``src`` to ``dst`` in bounded
+    chunks."""
+    (left,) = struct.unpack("<Q", _read_exact(src, 8))
+    while left:
+        chunk = src.read(min(left, _COPY_CHUNK_BYTES))
+        if not chunk:
+            raise EOFError("a range child ended without its result")
+        dst.write(chunk)
+        left -= len(chunk)
+
+
+def _write_in_ranges(fh, header: DatasetHeader, ranges) -> bool:
+    """Write the header and the records of ``ranges`` to the empty text file
+    ``fh``: a forked child encodes each range but the first and sends it
+    back as one length-prefixed UTF-8 blob, while this process writes the
+    header and the first range itself; the blobs then follow in range
+    order. False when anything failed, with ``fh`` holding a part of the
+    file."""
+
+    def encode(pieces):
+        def job(out):
+            blob = "".join(
+                line for piece in pieces for line in _record_lines(header, *piece)
+            ).encode("utf-8")
+            out.write(struct.pack("<Q", len(blob)))
+            out.write(blob)
+
+        return job
+
+    def first_range(readers):
+        fh.write(_json_line(asdict(header)))
+        _write_records(fh, header, ranges[0])
+        fh.flush()
+        for src in readers:
+            _copy_blob(src, fh.buffer)
+        return True
+
+    return _in_children([encode(pieces) for pieces in ranges[1:]], first_range) is not None
+
+
 def write_dataset(path, header: DatasetHeader, *splits) -> None:
     """Emit header + every split's records in order; floats round-trip
-    exactly through JSON."""
+    exactly through JSON.
+
+    Records of at least two _RANGE_MIN_BYTES of output are encoded in
+    contiguous ranges on the usable cores (see ``_range_count``); the file,
+    and any error, is the same as from the serial write.
+    """
+    ranges = _record_ranges(header, splits)
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(header), separators=(",", ":")))
-        fh.write("\n")
-        for split in splits:
-            for i, rid in enumerate(split.ids):
-                obj = {
-                    "id": rid,
-                    "label": UNLABELED_SENTINEL
-                    if split.labels is None
-                    else header.class_names[split.labels[i]],
-                    "q": split.q[i].tolist(),
-                    "c": split.c[i].tolist(),
-                }
-                if split.q_aug is not None:
-                    obj["q_aug"] = split.q_aug[i].tolist()
-                    obj["c_aug"] = split.c_aug[i].tolist()
-                fh.write(json.dumps(obj, separators=(",", ":")))
-                fh.write("\n")
+        if len(ranges) < 2 or not _write_in_ranges(fh, header, ranges):
+            fh.seek(0)
+            fh.truncate()  # drop what a failed ranged write left
+            fh.write(_json_line(asdict(header)))
+            _write_records(fh, header, [(split, 0, len(split)) for split in splits])
 
 
 def load_truth(path) -> dict:
@@ -601,16 +722,25 @@ class SynthConfig:
 def _draw_split(cfg, rng, counts, prefix, augmented) -> Split:
     """Draw one split, every record labeled with its class. Classes are laid
     out in index order; per record the draws are q, c, then optionally
-    q_aug, c_aug, which is the order one standard_normal call fills them."""
+    q_aug, c_aug, which is the order one standard_normal call fills them.
+    A vector entry past the float range (a scale near it times a draw) is a
+    ParameterError."""
     labels = np.repeat(np.arange(cfg.num_classes), counts)
     z = rng.standard_normal((len(labels), 4 if augmented else 2, cfg.dim))
     means = cfg.separation * np.eye(cfg.num_classes, cfg.dim)[labels]
-    q = means + cfg.noise_sigma * z[:, 0]
-    c = means + cfg.noise_sigma * z[:, 1]
-    split = Split([f"{prefix}-{i:05d}" for i in range(len(labels))], labels, q, c)
-    if augmented:
-        split.q_aug = q + cfg.aug_sigma * z[:, 2]
-        split.c_aug = c + cfg.aug_sigma * z[:, 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = means + cfg.noise_sigma * z[:, 0]
+        c = means + cfg.noise_sigma * z[:, 1]
+        split = Split([f"{prefix}-{i:05d}" for i in range(len(labels))], labels, q, c)
+        if augmented:
+            split.q_aug = q + cfg.aug_sigma * z[:, 2]
+            split.c_aug = c + cfg.aug_sigma * z[:, 3]
+    for key in ("q", "c", "q_aug", "c_aug"):
+        column = getattr(split, key)
+        if column is not None and not np.isfinite(column).all():
+            raise ParameterError(
+                f"a drawn {key} vector is not finite; lower separation, noise_sigma or aug_sigma"
+            )
     return split
 
 
@@ -619,8 +749,9 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
 
     Splits are drawn in a fixed order (labeled train, unlabeled train,
     validation, test) from one generator seeded with cfg.seed, so the
-    whole dataset is a pure function of the config. Returns the emitted
-    paths keyed by role.
+    whole dataset is a pure function of the config. Every split is drawn
+    and checked before any file is written. Returns the emitted paths keyed
+    by role.
     """
     rng = np.random.default_rng(cfg.seed)
     labeled = _draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False)

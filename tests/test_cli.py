@@ -339,6 +339,10 @@ HOSTILE_INPUTS = [
     pytest.param(generate_with(class_names=["a", "b"]), EXIT_USAGE, id="class_names-two-of-three"),
     # GEN_KW gives all four count lists, so no long-tail profile is drawn first
     pytest.param(generate_with(num_classes=1), EXIT_USAGE, id="num_classes-1"),
+    # finite scales whose draws overflow: nothing is written
+    pytest.param(generate_with(noise_sigma=1e308), EXIT_USAGE, id="noise_sigma-1e308"),
+    pytest.param(generate_with(separation=1e308, aug_sigma=1e308), EXIT_USAGE,
+                 id="separation-and-aug_sigma-1e308"),
     # per-step loss_mix stays near 1.4e307, so the 20-step interval sum overflows
     pytest.param(
         train_with(scale_mix=5e306, unlabeled_batch=2, lr=1e-315,

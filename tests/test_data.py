@@ -1,16 +1,21 @@
 """Dataset format, loader validation, long-tail counts, and generator tests."""
 
+import io
 import itertools
 import json
 import math
 import os
 import signal
+import struct
 import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qamatch import data
 from qamatch.cli import main
@@ -328,24 +333,34 @@ def test_loader_peak_memory_stays_below_the_file_size(tmp_path):
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
-    reason="byte ranges are parsed by forked children",
+    reason="ranges are parsed and written by forked children",
 )
 
 
-def parse_in_ranges_everywhere(monkeypatch, cores=2):
-    """Make load_dataset parse every file in byte ranges, as on ``cores``
-    usable cores. Returns the list each _parse_in_ranges result goes to."""
-    monkeypatch.setattr(data, "_RANGE_MIN_BYTES", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+def spy_on(monkeypatch, name):
+    """Wrap ``data.<name>``; returns the list each of its results goes to."""
     runs = []
-    real = data._parse_in_ranges
+    real = getattr(data, name)
 
     def spy(*args):
         runs.append(real(*args))
         return runs[-1]
 
-    monkeypatch.setattr(data, "_parse_in_ranges", spy)
+    monkeypatch.setattr(data, name, spy)
     return runs
+
+
+def ranges_everywhere(monkeypatch, cores=2):
+    """Cut every file into ranges, as on ``cores`` usable cores."""
+    monkeypatch.setattr(data, "_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def parse_in_ranges_everywhere(monkeypatch, cores=2):
+    """Make load_dataset parse every file in byte ranges, as on ``cores``
+    usable cores. Returns the list each _parse_in_ranges result goes to."""
+    ranges_everywhere(monkeypatch, cores)
+    return spy_on(monkeypatch, "_parse_in_ranges")
 
 
 def count_forks(monkeypatch):
@@ -553,6 +568,280 @@ def test_loader_peak_memory_stays_below_the_file_size_in_ranges(tmp_path, monkey
     runs = parse_in_ranges_everywhere(monkeypatch)
     assert_peak_memory_below_the_file_size(tmp_path)
     assert len(runs) == 1 and runs[0] is not None
+
+
+# ---------------------------------------------------------------------------
+# writing in record ranges
+
+
+def drawn_splits(unlabeled_counts=(40, 20, 10)):
+    """A generated train file's header, labeled and unlabeled splits, and
+    its bytes as the serial write gives them."""
+    cfg = small_config(dim=3, unlabeled_counts=list(unlabeled_counts))
+    rng = np.random.default_rng(cfg.seed)
+    labeled = data._draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False)
+    unlabeled = data._draw_split(cfg, rng, cfg.unlabeled_counts, "unl", augmented=True)
+    unlabeled.labels = None
+    header = DatasetHeader(cfg.dim, cfg.class_names, cfg.labeled_counts)
+    return header, labeled, unlabeled
+
+
+def serial_bytes(tmp_path, header, *splits):
+    path = tmp_path / "serial.jsonl"
+    write_dataset(path, header, *splits)
+    return path.read_bytes()
+
+
+def constant_split(prefix, n, labeled):
+    """``n`` records whose lines all have the same length."""
+    ids = [f"{prefix}{i:03d}" for i in range(n)]
+    q, c = np.full((n, 2), 0.5), np.full((n, 2), 0.25)
+    if labeled:
+        return Split(ids, np.arange(n, dtype=np.int64) % 2, q, c)
+    return Split(ids, None, q, c, q_aug=q + 0.25, c_aug=c + 0.25)
+
+
+def assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores):
+    """Write ``splits`` in ranges as on ``cores`` cores; the file must be
+    the serial write's, from ``cores`` - 1 forked children, none left."""
+    expected = serial_bytes(tmp_path, header, *splits)
+    ranges_everywhere(monkeypatch, cores)
+    runs = spy_on(monkeypatch, "_write_in_ranges")
+    forks = count_forks(monkeypatch)
+    path = tmp_path / "ranged.jsonl"
+    write_dataset(path, header, *splits)
+    assert runs == [True] and len(forks) == cores - 1
+    assert path.read_bytes() == expected
+    assert not os.path.exists(f"{path}.partial")
+    assert_no_child_left()
+    return path
+
+
+@needs_fork
+@pytest.mark.parametrize("cores", [2, 3, 4])
+def test_write_in_ranges_matches_the_serial_write(tmp_path, monkeypatch, cores):
+    header, *splits = drawn_splits()
+    ranges_everywhere(monkeypatch, cores)
+    ranges = data._record_ranges(header, splits)
+    assert len(ranges) == cores
+    # every record once, in order
+    covered = [rid for piece in ranges for s, a, b in piece for rid in s.ids[a:b]]
+    assert covered == splits[0].ids + splits[1].ids
+    monkeypatch.undo()
+    path = assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores)
+    assert_same_splits(splits, load_dataset(path)[1:])
+
+
+@needs_fork
+def test_write_in_ranges_cuts_on_the_labeled_unlabeled_boundary(tmp_path, monkeypatch):
+    header = DatasetHeader(2, ["yes", "no"], [0, 0])
+    sizes = [len(next(data._record_lines(header, constant_split("x", 1, kind), 0, 1)))
+             for kind in (True, False)]
+    g = math.gcd(*sizes)
+    # both splits hold the same number of bytes, so the one cut of two
+    # ranges falls between them
+    labeled = constant_split("l", sizes[1] // g, labeled=True)
+    unlabeled = constant_split("u", sizes[0] // g, labeled=False)
+    header.labeled_counts = np.bincount(labeled.labels, minlength=2).tolist()
+    ranges_everywhere(monkeypatch, 2)
+    assert data._record_ranges(header, [labeled, unlabeled]) == [
+        [(labeled, 0, len(labeled))], [(unlabeled, 0, len(unlabeled))]
+    ]
+    monkeypatch.undo()
+    path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, unlabeled], 2)
+    assert_same_splits([labeled, unlabeled], load_dataset(path)[1:])
+
+
+@needs_fork
+def test_write_in_ranges_with_no_unlabeled_records(tmp_path, monkeypatch):
+    header, labeled, _ = drawn_splits()
+    empty = Split([], None, np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
+    path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, empty], 3)
+    assert_same_splits([labeled, empty], load_dataset(path)[1:])
+
+
+def in_children(monkeypatch, wrap):
+    """Run ``data._record_lines``'s lines through ``wrap`` in forked children
+    only."""
+    parent = os.getpid()
+    real = data._record_lines
+
+    def lines(*args):
+        return real(*args) if os.getpid() == parent else wrap(real(*args))
+
+    monkeypatch.setattr(data, "_record_lines", lines)
+
+
+def raise_after(lines, n):
+    for i, item in enumerate(lines):
+        if i == n:
+            raise RuntimeError("a range child fails")
+        yield item
+
+
+@needs_fork
+@pytest.mark.parametrize("how", [kill_after, raise_after], ids=["sigkill", "raise"])
+def test_write_in_ranges_falls_back_to_the_serial_write_when_a_child_fails(tmp_path, monkeypatch, how):
+    # a child that raises must not run the parent's cleanup, which would
+    # remove <path>.partial under the parent and fail its final rename
+    header, *splits = drawn_splits()
+    expected = serial_bytes(tmp_path, header, *splits)
+    ranges_everywhere(monkeypatch, 3)
+    runs = spy_on(monkeypatch, "_write_in_ranges")
+    forks = count_forks(monkeypatch)
+    in_children(monkeypatch, lambda lines: how(lines, 5))
+    path = tmp_path / "ranged.jsonl"
+    write_dataset(path, header, *splits)
+    assert runs == [False] and len(forks) == 2
+    assert path.read_bytes() == expected
+    assert not os.path.exists(f"{path}.partial")
+    assert_no_child_left()
+
+
+def break_last_label(labeled, unlabeled):
+    labeled.labels[-1] = 3  # past class_names, in the last range
+    return unlabeled, labeled
+
+
+def break_two_records(labeled, unlabeled):
+    # the last labeled record is written first, the first unlabeled one is
+    # measured first
+    labeled.q = labeled.q[:-1]
+    unlabeled.q_aug = unlabeled.q_aug[:0]
+    return labeled, unlabeled
+
+
+@needs_fork
+@pytest.mark.parametrize("corrupt,ranged_runs", [(break_last_label, [False]), (break_two_records, [])],
+                         ids=["in-a-child", "in-the-size-estimate"])
+def test_write_in_ranges_raises_what_the_serial_write_does(tmp_path, monkeypatch, corrupt, ranged_runs):
+    header, *splits = drawn_splits()
+    splits = corrupt(*splits)
+    with pytest.raises(IndexError) as first_bad:  # the records in file order
+        for split in splits:
+            list(data._record_lines(header, split, 0, len(split)))
+    with pytest.raises(IndexError) as serial:
+        write_dataset(tmp_path / "serial.jsonl", header, *splits)
+    ranges_everywhere(monkeypatch, 2)
+    runs = spy_on(monkeypatch, "_write_in_ranges")
+    path = tmp_path / "ranged.jsonl"
+    with pytest.raises(IndexError) as ranged:
+        write_dataset(path, header, *splits)
+    assert str(ranged.value) == str(serial.value) == str(first_bad.value)
+    assert runs == ranged_runs
+    assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_write_stays_serial_while_another_thread_runs(tmp_path, monkeypatch):
+    header, *splits = drawn_splits()
+    expected = serial_bytes(tmp_path, header, *splits)
+    ranges_everywhere(monkeypatch, 2)
+    runs = spy_on(monkeypatch, "_write_in_ranges")
+    forks = count_forks(monkeypatch)
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        write_dataset(tmp_path / "ranged.jsonl", header, *splits)
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert runs == [] and forks == []
+    assert (tmp_path / "ranged.jsonl").read_bytes() == expected
+
+
+def read_all(readers):
+    return [fh.read() for fh in readers]
+
+
+@needs_fork
+def test_forked_work_is_dropped_on_a_fork_error_or_a_bad_exit_status(monkeypatch):
+    def send(out):
+        out.write(b"ok")
+
+    def send_then_fail(out):
+        send(out)
+        out.flush()
+        os._exit(3)
+
+    assert data._in_children([send, send], read_all) == [b"ok", b"ok"]
+    # the whole result arrived, but its child did not exit with status 0
+    assert data._in_children([send, send_then_fail], read_all) is None
+    assert_no_child_left()
+
+    real = os.fork
+    forks = []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError("fork failed")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert data._in_children([send, send], read_all) is None
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_copy_blob_rejects_a_short_blob():
+    out = io.BytesIO()
+    data._copy_blob(io.BytesIO(struct.pack("<Q", 3) + b"abcd"), out)
+    assert out.getvalue() == b"abc"
+    with pytest.raises(EOFError):
+        data._copy_blob(io.BytesIO(struct.pack("<Q", 5) + b"abcd"), io.BytesIO())
+    with pytest.raises(EOFError):
+        data._copy_blob(io.BytesIO(b"\0\0"), io.BytesIO())
+
+
+# float64 values whose shortest repr takes every form: signed zeros,
+# subnormals, the extremes, exponents in both directions, 17 digits
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-05, -1.5e-05, 0.0001,
+    1e16, 1e22, 123456789012345680.0, 0.1 + 0.2, 1 / 3, -2 / 3, 1.0000000000000002,
+]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@needs_fork
+def test_write_and_load_round_trip_any_finite_floats_bit_for_bit(tmp_path):
+    forks = []
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def round_trip(draw):
+        dim = draw.draw(st.integers(1, 3))
+        rows = {kind: draw.draw(st.integers(1 if kind == "labeled" else 0, 4))
+                for kind in ("labeled", "unlabeled")}
+
+        def matrix(n):
+            return draw.draw(hnp.arrays(np.float64, (n, dim), elements=finite_floats))
+
+        n = rows["labeled"]
+        labels = np.array(draw.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+        labeled = Split([f"l{i}" for i in range(n)], labels, matrix(n), matrix(n))
+        n = rows["unlabeled"]
+        unlabeled = Split([f"u{i}" for i in range(n)], None, matrix(n), matrix(n), matrix(n), matrix(n))
+        header = DatasetHeader(dim, ["yes", "no"], np.bincount(labels, minlength=2).tolist())
+        path = tmp_path / "ds.jsonl"
+        for cores in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if cores > 1:
+                    ranges_everywhere(mp, cores)
+                forked = count_forks(mp)
+                write_dataset(path, header, labeled, unlabeled)
+                loaded = load_dataset(path)
+            forks.extend(forked)
+            assert loaded[0] == header
+            assert_same_splits([labeled, unlabeled], loaded[1:])
+        assert_no_child_left()
+
+    round_trip()
+    assert forks  # some examples were written and parsed in ranges
 
 
 # ---------------------------------------------------------------------------
