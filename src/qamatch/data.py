@@ -33,8 +33,8 @@ import logging
 import marshal
 import math
 import os
+import shutil
 import signal
-import struct
 import threading
 from array import array
 from contextlib import contextmanager, suppress
@@ -56,8 +56,8 @@ _JSON_NUMBERS = frozenset((int, float))
 # about 22 ms to parse 512 KiB and about 35 ms to encode it, so a file
 # under 1 MiB stays serial.
 _RANGE_MIN_BYTES = 1 << 19
-# the most of a range child's output held in memory at once
-_COPY_CHUNK_BYTES = 1 << 20
+# the largest dim whose model input rows, [q, c] in float64, numpy can address
+_MAX_DIM = np.iinfo(np.intp).max // 16
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -87,8 +87,8 @@ class DatasetHeader:
         self.dim = int(self.dim)
         self.class_names = list(names)
         self.labeled_counts = [int(c) for c in counts]
-        if self.dim < 1:
-            raise DataFormatError(f"dim must be >= 1, got {self.dim}")
+        if not 1 <= self.dim <= _MAX_DIM:
+            raise DataFormatError(f"dim must be in [1, {_MAX_DIM}], got {self.dim}")
         if len(self.class_names) < 2:
             raise DataFormatError("need at least two class names")
         if len(set(self.class_names)) != len(self.class_names):
@@ -120,22 +120,22 @@ class Split:
         return len(self.ids)
 
 
-def _append_vector(column, raw, dim, what, rid, lineno):
+def _append_vector(column, raw, dim, what, rid, path, lineno):
     """Check one record vector and append its entries to ``column``."""
     if not isinstance(raw, list) or len(raw) != dim:
-        raise DataFormatError(
-            f"line {lineno}: record {rid!r}: {what} must be a list of {dim} numbers"
-        )
-    try:
-        if not _JSON_NUMBERS.issuperset(map(type, raw)):
-            raise TypeError
-        column.extend(raw)  # OverflowError for an integer past the float range
-    except (TypeError, OverflowError):
-        raise DataFormatError(
-            f"line {lineno}: record {rid!r}: {what} has a non-numeric entry"
-        ) from None
-    if not all(map(math.isfinite, raw)):
-        raise DataFormatError(f"line {lineno}: record {rid!r}: {what} is not finite")
+        problem = f"must be a list of {dim} numbers"
+    elif not _JSON_NUMBERS.issuperset(map(type, raw)):
+        problem = "has a non-numeric entry"
+    else:
+        try:
+            column.extend(raw)
+            if all(map(math.isfinite, raw)):
+                return
+            problem = "is not finite"
+        except OverflowError:  # an integer past the float range
+            problem = "has a non-numeric entry"
+    # the message is built only here: this runs once per vector of the file
+    raise DataFormatError(f"{path}: line {lineno}: record {rid!r}: {what} {problem}")
 
 
 class _ByteBudget(io.RawIOBase):
@@ -284,8 +284,8 @@ def _parse_records(path, header: DatasetHeader, lines):
                     f"{path}: line {lineno}: record {rid!r}: missing vector {key!r}"
                 )
         part = unlabeled if label is None else labeled
-        _append_vector(part.cols["q"], obj["q"], header.dim, "q", rid, lineno)
-        _append_vector(part.cols["c"], obj["c"], header.dim, "c", rid, lineno)
+        _append_vector(part.cols["q"], obj["q"], header.dim, "q", rid, path, lineno)
+        _append_vector(part.cols["c"], obj["c"], header.dim, "c", rid, path, lineno)
         part.ids.append(rid)
         if label is None:
             for key in ("q_aug", "c_aug"):
@@ -299,7 +299,7 @@ def _parse_records(path, header: DatasetHeader, lines):
         for key in ("q_aug", "c_aug"):
             if key in obj:
                 column = part.cols[key] if key in part.cols else array("d")
-                _append_vector(column, obj[key], header.dim, key, rid, lineno)
+                _append_vector(column, obj[key], header.dim, key, rid, path, lineno)
     return labeled, unlabeled
 
 
@@ -385,33 +385,12 @@ def _in_children(jobs, work):
     return result if done else None
 
 
-def _send(out, parts) -> None:
-    """A length-prefixed marshal of the ids and labels, then the raw bytes of
-    each part's columns in order."""
-    meta = marshal.dumps([(part.ids, part.labels) for part in parts])
-    out.write(struct.pack("<Q", len(meta)))
-    out.write(meta)
-    for part in parts:
-        for col in part.cols.values():
-            out.write(col)
-
-
-def _read_exact(fh, n: int) -> bytes:
-    blob = fh.read(n)
-    if len(blob) != n:
-        raise EOFError("a range child ended without its result")
-    return blob
-
-
 def _gather(dim: int, readers, own) -> list:
     """Join the children's results (in range order) and the parent's own last
     range into one Split per kind of record. Each column goes straight from
     its pipe into its slice of the final (n, dim) matrix, one column at a
-    time."""
-    sources = []
-    for fh in readers:
-        (size,) = struct.unpack("<Q", _read_exact(fh, 8))
-        sources.append((fh, marshal.loads(_read_exact(fh, size))))
+    time; ``_in_children`` drops a child's short output on its exit status."""
+    sources = [(fh, marshal.loads(marshal.load(fh))) for fh in readers]
     sources.append((None, [(part.ids, part.labels) for part in own]))
     splits = []
     for kind, own_part in enumerate(own):
@@ -428,8 +407,8 @@ def _gather(dim: int, readers, own) -> list:
                 if fh is None:
                     # the parent's own column is last; drop it once copied
                     rows[...] = np.frombuffer(own_part.cols.pop(key)).reshape(rows.shape)
-                elif fh.readinto(rows) != rows.nbytes:
-                    raise EOFError("a range child ended without its result")
+                else:
+                    fh.readinto(rows)
                 row += len(rows)
         splits.append(Split(ids, labels, **cols))
     return splits
@@ -440,8 +419,8 @@ def _parse_in_ranges(path, header, ranges: int):
     a forked child per range but the last, which this process streams
     itself. Returns the labeled and unlabeled Splits as ``_parse_records``
     over the whole file would give them, or None when a range failed, a
-    child ended without its result or an id occurs in two ranges; the
-    serial parse then runs and reports the error. No child outlives the
+    child exited with another status than 0 or an id occurs in two ranges;
+    the serial parse then runs and reports the error. No child outlives the
     call."""
     cuts = _cut_points(path, ranges)
     if len(cuts) < 3:
@@ -452,20 +431,23 @@ def _parse_in_ranges(path, header, ranges: int):
             lines = read_lines(path, start, stop)
             if start == 0:  # skip the header line
                 next(lines, None)
-            _send(out, _parse_records(path, header, lines))
+            parts = _parse_records(path, header, lines)
+            # marshalled twice, so that marshal.load reads the ids and labels
+            # in one call rather than in one call per id
+            marshal.dump(marshal.dumps([(part.ids, part.labels) for part in parts]), out)
+            for part in parts:
+                out.writelines(part.cols.values())
 
         return job
 
     def own_range(readers):
         own = _parse_records(path, header, read_lines(path, cuts[-2]))
-        return _gather(header.dim, readers, own)
+        splits = _gather(header.dim, readers, own)
+        if len(set(splits[0].ids).union(splits[1].ids)) != len(splits[0]) + len(splits[1]):
+            raise ValueError("an id occurs in two ranges")
+        return splits
 
-    splits = _in_children([parse(start, stop) for start, stop in zip(cuts, cuts[1:-1])], own_range)
-    if splits is not None:
-        ids = splits[0].ids + splits[1].ids
-        if len(set(ids)) != len(ids):
-            return None
-    return splits
+    return _in_children([parse(start, stop) for start, stop in zip(cuts, cuts[1:-1])], own_range)
 
 
 def load_dataset(path):
@@ -489,7 +471,10 @@ def load_dataset(path):
         raise DataFormatError(
             f"{path}: line 1: header must have exactly the keys {list(HEADER_KEYS)}"
         )
-    header = DatasetHeader(**head)
+    try:
+        header = DatasetHeader(**head)
+    except DataFormatError as e:
+        raise DataFormatError(f"{path}: line 1: {e}") from None
 
     ranges = _range_count(os.path.getsize(path))
     splits = _parse_in_ranges(path, header, ranges) if ranges > 1 else None
@@ -507,116 +492,98 @@ def load_dataset(path):
 
 
 def _json_line(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _record_lines(header: DatasetHeader, split: Split, start: int, stop: int):
-    """The file line of each record ``start`` <= i < ``stop`` of ``split``."""
-    for i in range(start, stop):
-        obj = {
-            "id": split.ids[i],
-            "label": UNLABELED_SENTINEL
-            if split.labels is None
-            else header.class_names[split.labels[i]],
-            "q": split.q[i].tolist(),
-            "c": split.c[i].tolist(),
-        }
-        if split.q_aug is not None:
-            obj["q_aug"] = split.q_aug[i].tolist()
-            obj["c_aug"] = split.c_aug[i].tolist()
-        yield _json_line(obj)
+def _record_lines(header: DatasetHeader, splits, start: int, stop: int):
+    """The file line of each record ``start`` <= i < ``stop`` of ``splits``
+    taken in order. A non-finite vector entry is a DataFormatError."""
+    for split in splits:
+        for i in range(max(start, 0), min(stop, len(split))):
+            obj = {
+                "id": split.ids[i],
+                "label": UNLABELED_SENTINEL
+                if split.labels is None
+                else header.class_names[split.labels[i]],
+                "q": split.q[i].tolist(),
+                "c": split.c[i].tolist(),
+            }
+            if split.q_aug is not None:
+                obj["q_aug"] = split.q_aug[i].tolist()
+                obj["c_aug"] = split.c_aug[i].tolist()
+            try:
+                line = _json_line(obj)
+            except ValueError:  # JSON has no NaN or Infinity
+                raise DataFormatError(f"record {split.ids[i]!r}: a vector entry is not finite") from None
+            yield line
+        start -= len(split)
+        stop -= len(split)
 
 
-def _record_ranges(header: DatasetHeader, splits) -> list:
-    """Cut the records of ``splits``, taken in order, into contiguous ranges
-    of about equal output size, as many as ``_range_count`` gives for the
-    whole. Each range is a list of (split, start, stop) pieces. A record's
-    size is taken to be that of its split's first record."""
+def _record_cuts(header: DatasetHeader, splits) -> list:
+    """Indices 0 < ... < n that cut the n records of ``splits``, taken in
+    order, into up to ``_range_count`` ranges of about equal output size,
+    each cut before the first record that starts at or past its share. A
+    record's size is taken to be that of its split's first record."""
+    spans = []  # per non-empty split: (records, output ahead of it, record size)
+    total = 0
     try:
-        sizes = [len(next(_record_lines(header, split, 0, 1))) if len(split) else 0 for split in splits]
+        for split in filter(len, splits):
+            size = len(next(_record_lines(header, [split], 0, 1)))
+            spans.append((len(split), total, size))
+            total += size * len(split)
     except Exception:
         # a record that cannot be written: the serial write reports the first
         return []
-    total = sum(size * len(split) for size, split in zip(sizes, splits))
     ranges = _range_count(total)
-    pieces = [[] for _ in range(ranges)]
-    before = 0  # the size of the records ahead of this split
-    for split, size in zip(splits, sizes):
-        if not len(split):
-            continue
-        # range k holds the records that start in [k, k + 1) * total / ranges
-        edges = [
-            min(len(split), max(0, -((before * ranges - k * total) // (size * ranges))))
-            for k in range(ranges + 1)
-        ]
-        for k in range(ranges):
-            if edges[k] < edges[k + 1]:
-                pieces[k].append((split, edges[k], edges[k + 1]))
-        before += size * len(split)
-    return [piece for piece in pieces if piece]
+    cuts = {0, sum(span[0] for span in spans)}
+    for k in range(1, ranges):
+        # the records that start before k / ranges of the output
+        cuts.add(sum(min(m, max(0, -((ahead * ranges - k * total) // (size * ranges))))
+                     for m, ahead, size in spans))
+    return sorted(cuts)
 
 
-def _write_records(fh, header: DatasetHeader, pieces) -> None:
-    for split, start, stop in pieces:
-        fh.writelines(_record_lines(header, split, start, stop))
-
-
-def _copy_blob(src, dst) -> None:
-    """Copy one length-prefixed blob from ``src`` to ``dst`` in bounded
-    chunks."""
-    (left,) = struct.unpack("<Q", _read_exact(src, 8))
-    while left:
-        chunk = src.read(min(left, _COPY_CHUNK_BYTES))
-        if not chunk:
-            raise EOFError("a range child ended without its result")
-        dst.write(chunk)
-        left -= len(chunk)
-
-
-def _write_in_ranges(fh, header: DatasetHeader, ranges) -> bool:
-    """Write the header and the records of ``ranges`` to the empty text file
-    ``fh``: a forked child encodes each range but the first and sends it
-    back as one length-prefixed UTF-8 blob, while this process writes the
-    header and the first range itself; the blobs then follow in range
+def _write_in_ranges(fh, header: DatasetHeader, splits, cuts) -> bool:
+    """Write the header and the records of ``splits``, cut at ``cuts``, to
+    the empty text file ``fh``: a forked child writes each range but the
+    first to its pipe as UTF-8 text, while this process writes the header
+    and the first range itself; the children's text then follows in range
     order. False when anything failed, with ``fh`` holding a part of the
     file."""
 
-    def encode(pieces):
+    def encode(start, stop):
         def job(out):
-            blob = "".join(
-                line for piece in pieces for line in _record_lines(header, *piece)
-            ).encode("utf-8")
-            out.write(struct.pack("<Q", len(blob)))
-            out.write(blob)
+            out.write("".join(_record_lines(header, splits, start, stop)).encode("utf-8"))
 
         return job
 
     def first_range(readers):
         fh.write(_json_line(asdict(header)))
-        _write_records(fh, header, ranges[0])
+        fh.writelines(_record_lines(header, splits, cuts[0], cuts[1]))
         fh.flush()
         for src in readers:
-            _copy_blob(src, fh.buffer)
+            shutil.copyfileobj(src, fh.buffer)
         return True
 
-    return _in_children([encode(pieces) for pieces in ranges[1:]], first_range) is not None
+    return _in_children([encode(a, b) for a, b in zip(cuts[1:], cuts[2:])], first_range) is not None
 
 
 def write_dataset(path, header: DatasetHeader, *splits) -> None:
     """Emit header + every split's records in order; floats round-trip
-    exactly through JSON.
+    exactly through JSON, and a non-finite one is a DataFormatError.
 
     Records of at least two _RANGE_MIN_BYTES of output are encoded in
     contiguous ranges on the usable cores (see ``_range_count``); the file,
     and any error, is the same as from the serial write.
     """
-    ranges = _record_ranges(header, splits)
+    cuts = _record_cuts(header, splits)
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        if len(ranges) < 2 or not _write_in_ranges(fh, header, ranges):
+        if len(cuts) < 3 or not _write_in_ranges(fh, header, splits, cuts):
             fh.seek(0)
             fh.truncate()  # drop what a failed ranged write left
             fh.write(_json_line(asdict(header)))
-            _write_records(fh, header, [(split, 0, len(split)) for split in splits])
+            fh.writelines(_record_lines(header, splits, 0, sum(map(len, splits))))
 
 
 def load_truth(path) -> dict:

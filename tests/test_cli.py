@@ -425,6 +425,13 @@ HOSTILE_INPUTS = [
         ),
         EXIT_DATA, id="train-without-labeled-records",
     ),
+    # a header-only file holds no vector, so nothing but the header bounds dim
+    *(pytest.param(
+        train_on_edited("train.jsonl", lambda b, dim=dim: json.dumps(
+            {**json.loads(b.split(b"\n")[0]), "dim": dim, "labeled_counts": [0, 0, 0]}
+        ).encode() + b"\n"),
+        EXIT_DATA, id=f"header-only-dim-{name}",
+    ) for name, dim in [("1e20", 10**20), ("2**62", 2**62)]),
     pytest.param(
         train_on_edited("valid.jsonl", lambda b: b + json.dumps(
             {"id": "extra", "label": "unlabeled", **dict.fromkeys(["q", "c", "q_aug", "c_aug"], [0.0] * 6)}

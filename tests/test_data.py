@@ -1,12 +1,10 @@
 """Dataset format, loader validation, long-tail counts, and generator tests."""
 
-import io
 import itertools
 import json
 import math
 import os
 import signal
-import struct
 import threading
 import time
 import tracemalloc
@@ -290,6 +288,7 @@ def test_loader_rejects_mutated_files(tmp_path, name, mutate, fragment):
     with pytest.raises(DataFormatError) as err:
         load_dataset(path)
     assert fragment in str(err.value)
+    assert str(path) in str(err.value)
 
 
 def test_loader_splits_records_only_at_line_feeds(tmp_path):
@@ -570,6 +569,55 @@ def test_loader_peak_memory_stays_below_the_file_size_in_ranges(tmp_path, monkey
     assert len(runs) == 1 and runs[0] is not None
 
 
+# what a hostile edit puts in: JSON tokens, line breaks that JSON Lines does
+# not split at, a byte that is not UTF-8, and integers past the float range,
+# past the int conversion digit limit and past numpy's dimension limit
+HOSTILE_BYTES = [
+    b"", *(bytes([c]) for c in b'{}[]:,"-.019eE \n'), b"\r", "\x85".encode(), "\u2028".encode(),
+    b"\xff", b"null", b"true", b'"unlabeled"', b"1" + b"0" * 20, b"1" + b"0" * 400, b"1" + b"0" * 5000,
+]
+
+
+@needs_fork
+def test_loader_gives_a_data_error_or_the_same_result_on_hostile_files(tmp_path):
+    base = open(synth_generate(small_config(dim=3, unlabeled_counts=[3, 2, 1]), tmp_path)["train"], "rb").read()
+    # each edit deletes up to 8 bytes at a position and inserts a piece there
+    edits = st.lists(st.tuples(st.integers(0, len(base)), st.integers(0, 8), st.sampled_from(HOSTILE_BYTES)),
+                     min_size=1, max_size=4)
+    outcomes, forks = set(), []
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(edits)
+    def load_edited(edits):
+        blob = base
+        for pos, cut, piece in edits:
+            blob = blob[:pos] + piece + blob[pos + cut:]
+        path = tmp_path / "hostile.jsonl"
+        path.write_bytes(blob)
+        results = []
+        for cores in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if cores > 1:
+                    ranges_everywhere(mp, cores)
+                forked = count_forks(mp)
+                try:
+                    results.append(load_dataset(path))
+                except DataFormatError as e:  # any other exception fails the test
+                    results.append(str(e))
+            forks.extend(forked)
+            assert_no_child_left()
+        serial, ranged = results
+        outcomes.add(type(serial))
+        if isinstance(serial, str):
+            assert ranged == serial
+        else:
+            assert ranged[0] == serial[0]
+            assert_same_splits(serial[1:], ranged[1:])
+
+    load_edited()
+    assert outcomes == {str, tuple} and forks  # both outcomes occurred, some of them in ranges
+
+
 # ---------------------------------------------------------------------------
 # writing in record ranges
 
@@ -622,11 +670,12 @@ def assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores):
 def test_write_in_ranges_matches_the_serial_write(tmp_path, monkeypatch, cores):
     header, *splits = drawn_splits()
     ranges_everywhere(monkeypatch, cores)
-    ranges = data._record_ranges(header, splits)
-    assert len(ranges) == cores
-    # every record once, in order
-    covered = [rid for piece in ranges for s, a, b in piece for rid in s.ids[a:b]]
-    assert covered == splits[0].ids + splits[1].ids
+    cuts = data._record_cuts(header, splits)
+    n = len(splits[0]) + len(splits[1])
+    assert len(cuts) == cores + 1 and cuts == sorted(set(cuts)) and cuts[0] == 0 and cuts[-1] == n
+    # the ranges, read across the split boundary, hold every record once and in order
+    ranged = ["".join(data._record_lines(header, splits, a, b)) for a, b in zip(cuts, cuts[1:])]
+    assert "".join(ranged) == "".join(data._record_lines(header, splits, 0, n))
     monkeypatch.undo()
     path = assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores)
     assert_same_splits(splits, load_dataset(path)[1:])
@@ -635,7 +684,7 @@ def test_write_in_ranges_matches_the_serial_write(tmp_path, monkeypatch, cores):
 @needs_fork
 def test_write_in_ranges_cuts_on_the_labeled_unlabeled_boundary(tmp_path, monkeypatch):
     header = DatasetHeader(2, ["yes", "no"], [0, 0])
-    sizes = [len(next(data._record_lines(header, constant_split("x", 1, kind), 0, 1)))
+    sizes = [len(next(data._record_lines(header, [constant_split("x", 1, kind)], 0, 1)))
              for kind in (True, False)]
     g = math.gcd(*sizes)
     # both splits hold the same number of bytes, so the one cut of two
@@ -644,9 +693,7 @@ def test_write_in_ranges_cuts_on_the_labeled_unlabeled_boundary(tmp_path, monkey
     unlabeled = constant_split("u", sizes[0] // g, labeled=False)
     header.labeled_counts = np.bincount(labeled.labels, minlength=2).tolist()
     ranges_everywhere(monkeypatch, 2)
-    assert data._record_ranges(header, [labeled, unlabeled]) == [
-        [(labeled, 0, len(labeled))], [(unlabeled, 0, len(unlabeled))]
-    ]
+    assert data._record_cuts(header, [labeled, unlabeled]) == [0, len(labeled), len(labeled) + len(unlabeled)]
     monkeypatch.undo()
     path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, unlabeled], 2)
     assert_same_splits([labeled, unlabeled], load_dataset(path)[1:])
@@ -718,8 +765,7 @@ def test_write_in_ranges_raises_what_the_serial_write_does(tmp_path, monkeypatch
     header, *splits = drawn_splits()
     splits = corrupt(*splits)
     with pytest.raises(IndexError) as first_bad:  # the records in file order
-        for split in splits:
-            list(data._record_lines(header, split, 0, len(split)))
+        list(data._record_lines(header, splits, 0, len(splits[0]) + len(splits[1])))
     with pytest.raises(IndexError) as serial:
         write_dataset(tmp_path / "serial.jsonl", header, *splits)
     ranges_everywhere(monkeypatch, 2)
@@ -753,6 +799,24 @@ def test_write_stays_serial_while_another_thread_runs(tmp_path, monkeypatch):
     assert (tmp_path / "ranged.jsonl").read_bytes() == expected
 
 
+@pytest.mark.parametrize("cores", [1, pytest.param(3, marks=needs_fork)])
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+@pytest.mark.parametrize("split,row", [(0, 0), (1, -1)], ids=["first-record", "last-record"])
+def test_write_rejects_a_non_finite_entry_and_leaves_no_file(tmp_path, monkeypatch, cores, value, split, row):
+    header, *splits = drawn_splits()
+    splits[split].q[row, 1] = value  # the first record is in the size estimate, the last in a child's range
+    rid = splits[split].ids[row]
+    if cores > 1:
+        ranges_everywhere(monkeypatch, cores)
+    runs = spy_on(monkeypatch, "_write_in_ranges")
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataFormatError, match=f"record '{rid}': a vector entry is not finite"):
+        write_dataset(path, header, *splits)
+    assert runs == ([False] if cores > 1 and row == -1 else [])
+    assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
+    assert_no_child_left()
+
+
 def read_all(readers):
     return [fh.read() for fh in readers]
 
@@ -767,9 +831,17 @@ def test_forked_work_is_dropped_on_a_fork_error_or_a_bad_exit_status(monkeypatch
         out.flush()
         os._exit(3)
 
+    def send_part_then_die(out):
+        out.write(b"o")
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+
     assert data._in_children([send, send], read_all) == [b"ok", b"ok"]
     # the whole result arrived, but its child did not exit with status 0
     assert data._in_children([send, send_then_fail], read_all) is None
+    # a part arrived, and its child was killed: the exit status is the only
+    # sign that the output is short
+    assert data._in_children([send, send_part_then_die], read_all) is None
     assert_no_child_left()
 
     real = os.fork
@@ -785,16 +857,6 @@ def test_forked_work_is_dropped_on_a_fork_error_or_a_bad_exit_status(monkeypatch
     assert data._in_children([send, send], read_all) is None
     assert len(forks) == 2
     assert_no_child_left()
-
-
-def test_copy_blob_rejects_a_short_blob():
-    out = io.BytesIO()
-    data._copy_blob(io.BytesIO(struct.pack("<Q", 3) + b"abcd"), out)
-    assert out.getvalue() == b"abc"
-    with pytest.raises(EOFError):
-        data._copy_blob(io.BytesIO(struct.pack("<Q", 5) + b"abcd"), io.BytesIO())
-    with pytest.raises(EOFError):
-        data._copy_blob(io.BytesIO(b"\0\0"), io.BytesIO())
 
 
 # float64 values whose shortest repr takes every form: signed zeros,
