@@ -11,18 +11,23 @@ optional for labeled ones, whose are checked but not kept.
 In memory each kind of record is one ``Split`` of (n, dim) columns. A
 record's model input is the concatenation question-then-context, so the
 classifier sees rows of width 2 * dim, built only by ``labeled_matrix``
-and ``unlabeled_matrices``:
+for the labeled records and by ``UnlabeledViews.take``, one batch at a
+time, for the unlabeled ones:
 
     original view  = [q, c]
     question view  = [q_aug, c]
     context view   = [q, c_aug]
 
+The unlabeled columns are held once, as the loader returns them; no
+(n, 2 * dim) copy of a view is made.
+
 The synthetic generator places the class means at separation * e_k on the
 first C coordinate axes (hence dim >= num_classes), draws q and c as mean
 plus isotropic Gaussian noise, and emits augmented copies as the same
-vector plus smaller jitter. Ground-truth labels of unlabeled records go
-to a tab-separated sidecar file so pseudo-label accuracy can be scored
-without leaking labels into training.
+vector plus smaller jitter, all in place in one draw per split.
+Ground-truth labels of unlabeled records go to a tab-separated sidecar
+file so pseudo-label accuracy can be scored without leaking labels into
+training.
 """
 
 from __future__ import annotations
@@ -654,6 +659,8 @@ class SynthConfig:
                 f"dim {self.dim} < num_classes {self.num_classes}: orthogonal "
                 f"class means need one axis per class"
             )
+        if self.dim > _MAX_DIM:
+            raise ParameterError(f"dim must be at most {_MAX_DIM}, got {self.dim}")
         if not 0 < self.separation < math.inf:
             raise ParameterError("separation must be positive and finite")
         if not 0 < self.noise_sigma < math.inf:
@@ -684,31 +691,42 @@ class SynthConfig:
                 raise ParameterError(f"{name} must list one count per class")
             if any(c < low for c in counts):
                 raise ParameterError(f"{name} entries must be >= {low}")
+            # _draw_split draws a split of n records as one float64 array of
+            # shape (n, 4, dim) at most, whose size in bytes numpy keeps in an intp
+            if sum(counts) * 4 * self.dim * 8 > np.iinfo(np.intp).max:
+                raise ParameterError(
+                    f"{name} with dim {self.dim} needs a draw of {sum(counts)} x 4 x "
+                    f"{self.dim} floats, more than numpy can address"
+                )
 
 
 def _draw_split(cfg, rng, counts, prefix, augmented) -> Split:
     """Draw one split, every record labeled with its class. Classes are laid
     out in index order; per record the draws are q, c, then optionally
     q_aug, c_aug, which is the order one standard_normal call fills them.
-    A vector entry past the float range (a scale near it times a draw) is a
-    ParameterError."""
+    The columns are derived in place in that draw and returned as views of
+    it: q = mean + noise_sigma * z_q and q_aug = q + aug_sigma * z_qaug (and
+    so for c), with every value the same bit for bit, as IEEE + and * are
+    commutative. A vector entry past the float range (a scale near it times
+    a draw) is a ParameterError."""
     labels = np.repeat(np.arange(cfg.num_classes), counts)
     z = rng.standard_normal((len(labels), 4 if augmented else 2, cfg.dim))
-    means = cfg.separation * np.eye(cfg.num_classes, cfg.dim)[labels]
     with np.errstate(over="ignore", invalid="ignore"):
-        q = means + cfg.noise_sigma * z[:, 0]
-        c = means + cfg.noise_sigma * z[:, 1]
-        split = Split([f"{prefix}-{i:05d}" for i in range(len(labels))], labels, q, c)
+        z[:, :2] *= cfg.noise_sigma
+        # the class mean is separation on the label's axis and 0.0 on every
+        # other one; adding those zeros turns a -0.0 into 0.0, as the mean does
+        z[:, :2] += 0.0
+        z[np.arange(len(labels)), :2, labels] += cfg.separation
         if augmented:
-            split.q_aug = q + cfg.aug_sigma * z[:, 2]
-            split.c_aug = c + cfg.aug_sigma * z[:, 3]
-    for key in ("q", "c", "q_aug", "c_aug"):
-        column = getattr(split, key)
-        if column is not None and not np.isfinite(column).all():
+            z[:, 2:] *= cfg.aug_sigma
+            z[:, 2:] += z[:, :2]
+    columns = [z[:, k] for k in range(z.shape[1])]
+    for key, column in zip(("q", "c", "q_aug", "c_aug"), columns):
+        if not np.isfinite(column).all():
             raise ParameterError(
                 f"a drawn {key} vector is not finite; lower separation, noise_sigma or aug_sigma"
             )
-    return split
+    return Split([f"{prefix}-{i:05d}" for i in range(len(labels))], labels, *columns)
 
 
 def synth_generate(cfg: SynthConfig, out_dir) -> dict:
@@ -760,11 +778,31 @@ def labeled_matrix(split: Split):
     return np.hstack([split.q, split.c]), split.labels
 
 
-def unlabeled_matrices(split: Split):
-    """(ids, original, question view, context view) of an unlabeled split."""
-    return (
-        split.ids,
-        np.hstack([split.q, split.c]),
-        np.hstack([split.q_aug, split.c]),
-        np.hstack([split.q, split.c_aug]),
-    )
+class UnlabeledViews:
+    """The three model-input views of an unlabeled split, built one batch at
+    a time from the split's four (n, dim) columns. ``take`` gathers rows
+    from C-contiguous columns: those ``load_dataset`` returns are held as
+    they are, without a copy, and any other is copied once."""
+
+    def __init__(self, split: Split):
+        self.q, self.c, self.q_aug, self.c_aug = (
+            np.ascontiguousarray(col) for col in (split.q, split.c, split.q_aug, split.c_aug)
+        )
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def take(self, idx):
+        """(original, question view, context view) of the rows ``idx``, each
+        a new C-contiguous (len(idx), 2 * dim) matrix."""
+        q, c = self.q.take(idx, axis=0), self.c.take(idx, axis=0)
+        return (
+            np.concatenate((q, c), axis=1),
+            np.concatenate((self.q_aug.take(idx, axis=0), c), axis=1),
+            np.concatenate((q, self.c_aug.take(idx, axis=0)), axis=1),
+        )
+
+
+def unlabeled_matrices(split: Split) -> UnlabeledViews:
+    """The views of an unlabeled split, built per batch by ``take``."""
+    return UnlabeledViews(split)

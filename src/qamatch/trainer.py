@@ -3,7 +3,8 @@ pseudo-label consistency losses over mixed and unmixed unlabeled views.
 
 One step does, in order:
   1. take the next labeled batch (cycling with a reshuffle per pass),
-  2. take the next unlabeled batch the same way,
+  2. take the next unlabeled batch the same way and build its three views
+     (original, question, context) from the unlabeled columns,
   3. predict on the unlabeled originals, calibrate against the labeled
      prior and the running prediction marginal, sharpen into pseudo-labels
      (constants from here on; no gradient flows through them),
@@ -34,7 +35,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import DEFAULT_WINDOW, MarginalEstimator, calibrate, sharpen
-from .data import atomic_open, labeled_matrix, parse_json_line, read_lines, unlabeled_matrices
+from .data import Split, atomic_open, labeled_matrix, parse_json_line, read_lines, unlabeled_matrices
 from .errors import DataFormatError, DivergenceError, ParameterError
 from .metrics import evaluate_model, kl_divergence
 from .numerics import MlpClassifier, fsum_nonneg, sgd_step, weighted_ce_gradient
@@ -202,22 +203,21 @@ class QAMatchTrainer:
     """Stateful training loop over the matrices that ``build_trainer``, the
     only constructor callers use, assembles and checks.
 
-    The three unlabeled views have zero rows when there is no unlabeled
-    data. ``unl_truth`` (optional) holds the hidden class index per
+    ``unlabeled`` (a ``data.UnlabeledViews``) builds the three views of each
+    unlabeled batch and has zero rows when there is no unlabeled data.
+    ``unl_truth`` (optional) holds the hidden class index per
     unlabeled row, -1 where unknown; it is used only to score pseudo-label
     accuracy for the report, never in any loss.
     """
 
     def __init__(
         self, config: TrainConfig, labeled_counts: np.ndarray, labeled_X, labeled_y,
-        unl_original, unl_question, unl_context, unl_truth, valid_X, valid_y,
+        unlabeled, unl_truth, valid_X, valid_y,
     ):
         self.config = config
         self.num_classes = len(labeled_counts)
         self.labeled_X, self.labeled_y = labeled_X, labeled_y
-        self.unl_original = unl_original
-        self.unl_question = unl_question
-        self.unl_context = unl_context
+        self.unlabeled = unlabeled
         self.unl_truth = unl_truth
         self.valid_X, self.valid_y = valid_X, valid_y
 
@@ -238,13 +238,13 @@ class QAMatchTrainer:
         self.iteration = 0
         self.diagnostics = {}
         self._labeled_cycle = _Cycler(self.labeled_X.shape[0], self.rng)
-        self._unl_cycle = _Cycler(max(self.unl_original.shape[0], 1), self.rng)
+        self._unl_cycle = _Cycler(max(len(unlabeled), 1), self.rng)
         self._eye = np.eye(self.num_classes)
 
     @property
     def unlabeled_active(self) -> bool:
         cfg = self.config
-        return self.unl_original.shape[0] > 0 and (cfg.use_softmix or cfg.use_anchor)
+        return len(self.unlabeled) > 0 and (cfg.use_softmix or cfg.use_anchor)
 
     def step(self) -> StepResult:
         cfg = self.config
@@ -264,8 +264,7 @@ class QAMatchTrainer:
         loss_anchor = 0.0
         if self.unlabeled_active:
             unl_idx = self._unl_cycle.take(cfg.unlabeled_batch)
-            orig = self.unl_original[unl_idx]
-            qview = self.unl_question[unl_idx]
+            orig, qview, cview = self.unlabeled.take(unl_idx)
             raw_preds = self.model.forward_batch(orig)
             marginal = self.estimator.marginal()
             adjusted = (
@@ -275,9 +274,7 @@ class QAMatchTrainer:
             )
             pseudo = sharpen(adjusted, cfg.temperature)
             if cfg.use_softmix:
-                mixed = mix_views(
-                    orig, qview, self.unl_context[unl_idx], cfg.alpha, self.rng
-                )
+                mixed = mix_views(orig, qview, cview, cfg.alpha, self.rng)
                 for view in (mixed.original, mixed.question, mixed.context):
                     l, g = weighted_ce_gradient(
                         self.model, view, pseudo, cfg.scale_mix,
@@ -372,25 +369,25 @@ def build_trainer(
     if not labeled_records:
         raise DataFormatError("training file has no labeled records")
     X, y = labeled_matrix(labeled_records)
+    if not unlabeled_records:
+        none = np.zeros((0, header.dim))
+        unlabeled_records = Split([], None, none, none, none, none)
+    unlabeled = unlabeled_matrices(unlabeled_records)
     truth_arr = None
-    if unlabeled_records:
-        ids, orig, qview, cview = unlabeled_matrices(unlabeled_records)
-        if truth is not None:
-            name_to_index = {n: i for i, n in enumerate(header.class_names)}
-            truth_arr = np.full(len(ids), -1, dtype=np.int64)
-            for i, rid in enumerate(ids):
-                if rid in truth:
-                    name = truth[rid]
-                    if name not in name_to_index:
-                        raise DataFormatError(f"truth sidecar has unknown label {name!r}")
-                    truth_arr[i] = name_to_index[name]
-    else:
-        orig = qview = cview = np.zeros((0, X.shape[1]))
+    if unlabeled_records and truth is not None:
+        name_to_index = {n: i for i, n in enumerate(header.class_names)}
+        truth_arr = np.full(len(unlabeled_records), -1, dtype=np.int64)
+        for i, rid in enumerate(unlabeled_records.ids):
+            if rid in truth:
+                name = truth[rid]
+                if name not in name_to_index:
+                    raise DataFormatError(f"truth sidecar has unknown label {name!r}")
+                truth_arr[i] = name_to_index[name]
     valid_X = valid_y = None
     if valid_records:
         valid_X, valid_y = labeled_matrix(valid_records)
     return QAMatchTrainer(
-        config, np.bincount(y, minlength=header.num_classes), X, y, orig, qview, cview,
+        config, np.bincount(y, minlength=header.num_classes), X, y, unlabeled,
         truth_arr, valid_X, valid_y,
     )
 

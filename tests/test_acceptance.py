@@ -14,6 +14,7 @@ import math
 import time
 
 import conftest
+import data_oracle
 import numpy as np
 import pytest
 
@@ -310,7 +311,7 @@ def test_criterion_04_gradient_check_full_objective():
         (res.mixed.original, pseudo, 1.0, 4),
         (res.mixed.question, pseudo, 1.0, 4),
         (res.mixed.context, pseudo, 1.0, 4),
-        (t.unl_question[res.unl_indices], pseudo, 1.0, 4),
+        (data_oracle.trainer_views(t)[1][res.unl_indices], pseudo, 1.0, 4),
     ]
 
     def objective():
@@ -383,9 +384,10 @@ def scalar_step_total(trainer, weights0, biases0, res):
     ) / cfg.labeled_batch
 
     prior = trainer.prior
+    unl_original, unl_question, unl_context = data_oracle.trainer_views(trainer)
     pseudo_rows = []
     for i in res.unl_indices:
-        p_dot = forward(trainer.unl_original[i])
+        p_dot = forward(unl_original[i])
         numer = [
             p_dot[j] * prior[j] / max(1.0 / 3.0, EPS_DIV) for j in range(3)
         ]
@@ -399,7 +401,7 @@ def scalar_step_total(trainer, weights0, biases0, res):
         es = [math.exp(v - m) for v in logs]
         pseudo_rows.append([v / math.fsum(es) for v in es])
 
-    views = (trainer.unl_original, trainer.unl_question, trainer.unl_context)
+    views = (unl_original, unl_question, unl_context)
     mix_parts = []
     for v_idx in range(3):
         rows = []
@@ -414,7 +416,7 @@ def scalar_step_total(trainer, weights0, biases0, res):
         mix_parts.append(math.fsum(rows) / cfg.unlabeled_batch)
 
     anchor = math.fsum(
-        cfg.scale_anchor * ce(pseudo_rows[pos], forward(trainer.unl_question[i]))
+        cfg.scale_anchor * ce(pseudo_rows[pos], forward(unl_question[i]))
         for pos, i in enumerate(res.unl_indices)
     ) / cfg.unlabeled_batch
 

@@ -14,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qamatch
 from qamatch import errors
@@ -31,6 +33,7 @@ from qamatch.cli import (
     resolve_train_config,
 )
 from qamatch.data import labeled_matrix, load_dataset
+from qamatch.errors import DataFormatError
 from qamatch.metrics import evaluate_model
 from qamatch.numerics import load_model
 from qamatch.trainer import REPORT_KEYS, TrainConfig, write_report
@@ -343,6 +346,10 @@ HOSTILE_INPUTS = [
     pytest.param(generate_with(noise_sigma=1e308), EXIT_USAGE, id="noise_sigma-1e308"),
     pytest.param(generate_with(separation=1e308, aug_sigma=1e308), EXIT_USAGE,
                  id="separation-and-aug_sigma-1e308"),
+    # a dim past what a dataset header may hold, and one whose draw numpy
+    # cannot address: nothing is drawn or written
+    pytest.param(generate_with(dim=10**20), EXIT_USAGE, id="generate-dim-1e20"),
+    pytest.param(generate_with(dim=2**58), EXIT_USAGE, id="generate-dim-2**58"),
     # per-step loss_mix stays near 1.4e307, so the 20-step interval sum overflows
     pytest.param(
         train_with(scale_mix=5e306, unlabeled_batch=2, lr=1e-315,
@@ -470,6 +477,66 @@ def test_eval_rejects_non_finite_outputs_without_warnings(data_dir, tmp_path, ca
     assert rc == EXIT_DATA
     captured = capsys.readouterr()
     assert model in captured.err and captured.out == ""
+
+
+# what an edit does to a model file: XOR a byte with a mask, cut the file
+# at a length, append bytes, or rewrite the layer count or one layer dim
+MODEL_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("count"), st.sampled_from([0, 1, 2, 3, 4, 64, 65, 1000, 2**32 - 1])),
+    st.tuples(st.just("dim"), st.integers(0, 3),
+              st.sampled_from([0, 1, 2, 3, 8, 12, 13, 2**16, 2**31, 2**32 - 1])),
+)
+
+
+def edit_model(blob: bytes, edits) -> bytes:
+    blob = bytearray(blob)
+    for kind, *args in edits:
+        if kind == "flip" and blob:
+            blob[args[0] % len(blob)] ^= args[1]
+        elif kind == "cut":
+            del blob[args[0] % (len(blob) + 1):]
+        elif kind == "append":
+            blob += args[0]
+        elif kind == "count" and len(blob) >= 8:
+            blob[4:8] = struct.pack("<I", args[0])
+        elif kind == "dim" and len(blob) >= 12 + 4 * args[0]:
+            blob[8 + 4 * args[0]:12 + 4 * args[0]] = struct.pack("<I", args[1])
+    return bytes(blob)
+
+
+def test_mutated_model_loads_as_declared_or_is_a_data_error(run_dir, data_dir, tmp_path, capsys):
+    base = (run_dir / "model.qam").read_bytes()
+    path = tmp_path / "mutated.qam"
+    exits, past_64 = set(), []
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(MODEL_EDITS, min_size=1, max_size=3))
+    def load_and_eval(edits):
+        blob = edit_model(base, edits)
+        path.write_bytes(blob)
+        past_64.append(len(blob) >= 8 and struct.unpack_from("<I", blob, 4)[0] > 64)
+        try:
+            model = load_model(path)
+        except DataFormatError:
+            model = None
+        else:
+            # the dims the file declares, and parameters of exactly those shapes
+            (count,) = struct.unpack_from("<I", blob, 4)
+            dims = struct.unpack_from(f"<{count}I", blob, 8)
+            assert model.layer_dims == dims
+            for (fan_in, fan_out), w, b in zip(zip(dims, dims[1:]), model.weights, model.biases, strict=True):
+                assert w.shape == (fan_in, fan_out) and b.shape == (fan_out,)
+                assert np.isfinite(w).all() and np.isfinite(b).all()
+        code = main(["eval", "--model", str(path), "--data", str(data_dir / "test.jsonl")])
+        assert code in (EXIT_OK, EXIT_DATA) and (model is not None or code == EXIT_DATA)
+        assert "Traceback" not in capsys.readouterr().err
+        exits.add(code)
+
+    load_and_eval()
+    assert exits == {EXIT_OK, EXIT_DATA} and any(past_64)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 
+import data_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1002,6 +1003,52 @@ def test_generate_matches_the_per_record_oracle(tmp_path):
         assert (tmp_path / name).read_bytes() == text.encode("utf-8"), name
 
 
+# the last scales make noise_sigma * z underflow to subnormals and to -0.0,
+# which adding the class mean's 0.0 turns into 0.0; 1e308 overflows
+DRAW_SCALES = [(0.8, 0.35), (3.7, 1e-3), (5e-324, 2.5e-310), (1e308, 0.35)]
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+@pytest.mark.parametrize("noise_sigma,aug_sigma", DRAW_SCALES, ids=[f"{a:g}-{b:g}" for a, b in DRAW_SCALES])
+def test_draw_split_matches_the_out_of_place_draw(augmented, noise_sigma, aug_sigma):
+    cfg = small_config(dim=5, separation=2.8, noise_sigma=noise_sigma, aug_sigma=aug_sigma)
+    counts = [40, 0, 25]  # a class without records
+    draws = []
+    for draw in (data._draw_split, data_oracle.draw_split):
+        try:
+            draws.append(draw(cfg, np.random.default_rng(3), counts, "x", augmented))
+        except ParameterError as e:
+            draws.append(str(e))
+    got, want = draws
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.ids == want.ids and got.labels.tolist() == want.labels.tolist()
+    for key in ("q", "c", "q_aug", "c_aug"):
+        if augmented or key in ("q", "c"):
+            column = getattr(got, key)
+            assert column.shape == (65, 5) and column.tobytes() == getattr(want, key).tobytes(), key
+        else:
+            assert getattr(got, key) is None and getattr(want, key) is None
+    if noise_sigma == 5e-324:
+        z = np.random.default_rng(3).standard_normal((65, 4 if augmented else 2, 5))
+        assert np.signbit(noise_sigma * z[:, :2] + 0.0).sum() < np.signbit(noise_sigma * z[:, :2]).sum()
+
+
+@pytest.mark.parametrize("augmented", [False, True], ids=["plain", "augmented"])
+def test_draw_split_peak_memory_stays_under_one_and_a_half_draws(augmented):
+    # the columns are views of the one draw, derived in place: no mean
+    # matrix and no new column
+    cfg = small_config(dim=256)
+    tracemalloc.start()
+    try:
+        data._draw_split(cfg, np.random.default_rng(0), [500, 500, 500], "x", augmented)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1500 * (4 if augmented else 2) * 256 * 8)
+
+
 def test_class_clusters_are_separated(tmp_path):
     # with a wide margin the class centroids recover the configured means
     cfg = small_config(separation=6.0, noise_sigma=0.3)
@@ -1066,8 +1113,7 @@ def test_views_concatenate_in_question_context_order():
         q_aug=np.array([[1.5, 2.5]]),
         c_aug=np.array([[3.5, 4.5]]),
     )
-    ids, orig, qview, cview = unlabeled_matrices(split)
-    assert ids == ["x"]
+    orig, qview, cview = unlabeled_matrices(split).take(np.array([0]))
     np.testing.assert_array_equal(orig, [[1, 2, 3, 4]])
     np.testing.assert_array_equal(qview, [[1.5, 2.5, 3, 4]])
     np.testing.assert_array_equal(cview, [[1, 2, 3.5, 4.5]])
@@ -1076,14 +1122,34 @@ def test_views_concatenate_in_question_context_order():
     assert y.tolist() == [1]
 
 
+def test_unlabeled_views_match_the_hstacked_views():
+    cfg = small_config(dim=5)
+    rng = np.random.default_rng(2)
+    unlabeled = data._draw_split(cfg, rng, [7, 3, 4], "u", augmented=True)
+    empty = Split([], None, *[np.zeros((0, 5))] * 4)
+    for split, index_sets in [
+        (unlabeled, [rng.permutation(14), rng.integers(0, 14, size=40), [3, 3, 3], []]),
+        (empty, [[]]),  # no unlabeled data
+    ]:
+        views = unlabeled_matrices(split)
+        assert len(views) == len(split)
+        whole = data_oracle.hstacked_views(split)
+        for idx in index_sets:
+            idx = np.asarray(idx, dtype=np.int64)
+            for got, want in zip(views.take(idx), whole, strict=True):
+                assert got.flags.c_contiguous and got.shape == (len(idx), 10)
+                assert got.tobytes() == want[idx].tobytes()
+
+
 def test_matrix_helpers(tmp_path):
     cfg = small_config()
     paths = synth_generate(cfg, tmp_path)
     header, labeled, unlabeled = load_dataset(paths["train"])
     X, y = labeled_matrix(labeled)
     assert X.shape == (11, 8) and y.shape == (11,)
-    ids, orig, qv, cv = unlabeled_matrices(unlabeled)
-    assert len(ids) == 14 and orig.shape == qv.shape == cv.shape == (14, 8)
+    views = unlabeled_matrices(unlabeled)
+    assert len(views) == 14
+    assert all(view.shape == (14, 8) for view in views.take(np.arange(14)))
     with pytest.raises(ParameterError):
         labeled_matrix(Split([], np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros((0, 4))))
 

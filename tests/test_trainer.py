@@ -3,8 +3,10 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
+import data_oracle
 import numpy as np
 import pytest
 
@@ -190,7 +192,7 @@ def test_empty_unlabeled_matches_unlabeled_toggles_off(task_dir):
     assert len(empty_split) == 0
     for no_unlabeled in (None, empty_split):
         a = build_trainer(cfg, header, labeled, no_unlabeled, vh, vr, truth)
-        assert a.unl_original.shape == (0, 2 * header.dim)
+        assert data_oracle.trainer_views(a)[0].shape == (0, 2 * header.dim)
         b = build_trainer(cfg, header, labeled, unlabeled, vh, vr, truth)
         b.config = base_config(use_rebalance=False, use_softmix=False, use_anchor=False)
         for _ in range(20):
@@ -199,6 +201,25 @@ def test_empty_unlabeled_matches_unlabeled_toggles_off(task_dir):
             assert ra.unl_indices is None and rb.unl_indices is None
         for wa, wb in zip(a.model.weights, b.model.weights):
             np.testing.assert_array_equal(wa, wb)
+
+
+def test_build_trainer_keeps_the_unlabeled_columns_without_a_copy(tmp_path):
+    cfg = SynthConfig(num_classes=3, dim=32, separation=2.5, noise_sigma=0.8, aug_sigma=0.3,
+                      seed=7, labeled_counts=[12, 5, 2], unlabeled_counts=[700, 700, 600],
+                      valid_counts=[1, 1, 1], test_counts=[1, 1, 1])
+    header, labeled, unlabeled = load_dataset(synth_generate(cfg, tmp_path)["train"])
+    keys = ("q", "c", "q_aug", "c_aug")
+    columns = sum(getattr(unlabeled, key).nbytes for key in keys)
+    tracemalloc.start()
+    try:
+        t = build_trainer(base_config(), header, labeled, unlabeled)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < columns / 4
+    assert all(getattr(t.unlabeled, key) is getattr(unlabeled, key) for key in keys)
+    for got, want in zip(t.unlabeled.take(np.arange(2000)), data_oracle.hstacked_views(unlabeled), strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_supervised_trajectory_matches_handrolled_loop(task_dir):
@@ -300,7 +321,8 @@ def test_single_step_scalar_oracle_on_handset_model(task_dir):
     prior = np.asarray(header.labeled_counts, float)
     prior = prior / prior.sum()
     i = int(res.unl_indices[0])
-    p_dot = forward_row(t.unl_original[i])
+    unl_original, unl_question, unl_context = data_oracle.trainer_views(t)
+    p_dot = forward_row(unl_original[i])
     numer = [p_dot[j] * prior[j] / max(1.0 / 3.0, EPS_DIV) for j in range(3)]
     cal = [v / math.fsum(numer) for v in numer]
     logs = [
@@ -311,14 +333,14 @@ def test_single_step_scalar_oracle_on_handset_model(task_dir):
     pseudo = [v / math.fsum(es) for v in es]
     np.testing.assert_allclose(res.pseudo_targets[0], pseudo, rtol=0, atol=1e-12)
 
-    views = [t.unl_original[i], t.unl_question[i], t.unl_context[i]]
+    views = [unl_original[i], unl_question[i], unl_context[i]]
     lam = float(res.mixed.lambdas[0])
     src = views[int(res.mixed.sources[0])]
     mix_losses = []
     for v_idx, view in enumerate(views):
         blended = view if v_idx == int(res.mixed.sources[0]) else lam * view + (1 - lam) * src
         mix_losses.append(ce(pseudo, forward_row(blended)) / cfg.unlabeled_batch)
-    anchor = ce(pseudo, forward_row(t.unl_question[i])) / cfg.unlabeled_batch
+    anchor = ce(pseudo, forward_row(unl_question[i])) / cfg.unlabeled_batch
 
     total = math.fsum([sup, *mix_losses, anchor])
     assert abs(res.loss_total - total) <= 1e-10
