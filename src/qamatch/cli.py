@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import logging
 import math
@@ -180,14 +179,6 @@ GENERATE_PRESETS = {
 
 # ----------------------------------------------------------------- utils --
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _ensure_out_dir(out, filenames, force: bool):
     os.makedirs(out, exist_ok=True)
     if force:
@@ -209,8 +200,10 @@ def _write_json(path, payload: dict) -> None:
 
 def cmd_generate(args) -> int:
     resolved = resolve_config(args, GENERATE_SCHEMA, GENERATE_DEFAULTS, GENERATE_PRESETS)
-    # an empty count list takes the n_max/gamma long-tail profile; valid and
-    # test use the labeled gamma
+    # an empty count list takes the n_max/gamma long-tail profile, one count
+    # per class, so the class count is checked first; valid and test use the
+    # labeled gamma
+    data_mod.check_class_axes(resolved["num_classes"], resolved["dim"])
     for split in ("labeled", "unlabeled", "valid", "test"):
         if not resolved[f"{split}_counts"]:
             gamma = resolved["gamma_unlabeled" if split == "unlabeled" else "gamma_labeled"]
@@ -222,7 +215,7 @@ def cmd_generate(args) -> int:
     )
     filenames = ["train.jsonl", "valid.jsonl", "test.jsonl", "unlabeled-truth.tsv", "manifest.json"]
     _ensure_out_dir(args.out, filenames, args.force)
-    paths = data_mod.synth_generate(cfg, args.out)
+    digests = data_mod.synth_generate(cfg, args.out)
     logger.info(
         "generated %s labeled / %s unlabeled train examples into %s",
         sum(cfg.labeled_counts), sum(cfg.unlabeled_counts), args.out,
@@ -230,9 +223,7 @@ def cmd_generate(args) -> int:
     manifest = {
         "command": "generate",
         "config": {"preset": resolved["preset"], **dataclasses.asdict(cfg)},
-        "outputs": {
-            os.path.basename(p): _sha256(p) for p in sorted(paths.values())
-        },
+        "outputs": dict(sorted(digests.items())),
     }
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     return EXIT_OK
@@ -253,18 +244,19 @@ def cmd_train(args) -> int:
     train_path = os.path.join(args.data, "train.jsonl")
     valid_path = os.path.join(args.data, "valid.jsonl")
     truth_path = os.path.join(args.data, "unlabeled-truth.tsv")
-    header, labeled, unlabeled = data_mod.load_dataset(train_path)
+    # each input is hashed once, for the manifest and the column file check
+    inputs = {"train.jsonl": data_mod.sha256_file(train_path), "valid.jsonl": None}
+    header, labeled, unlabeled = data_mod.load_dataset(train_path, inputs["train.jsonl"])
     valid_header = valid_records = None
     if os.path.exists(valid_path):
-        valid_header, valid_records, valid_unlabeled = data_mod.load_dataset(valid_path)
+        inputs["valid.jsonl"] = data_mod.sha256_file(valid_path)
+        valid_header, valid_records, valid_unlabeled = data_mod.load_dataset(
+            valid_path, inputs["valid.jsonl"]
+        )
         if valid_unlabeled:
             raise DataFormatError("validation file must not contain unlabeled records")
     truth = data_mod.load_truth(truth_path) if os.path.exists(truth_path) else None
-    inputs = {
-        "train.jsonl": _sha256(train_path),
-        "valid.jsonl": _sha256(valid_path) if valid_records is not None else None,
-        "unlabeled-truth.tsv": _sha256(truth_path) if truth is not None else None,
-    }
+    inputs["unlabeled-truth.tsv"] = data_mod.sha256_file(truth_path) if truth is not None else None
     session = trainer_mod.build_trainer(
         config, header, labeled, unlabeled, valid_header, valid_records, truth
     )
@@ -297,8 +289,8 @@ def cmd_train(args) -> int:
         },
         "inputs": inputs,
         "outputs": {
-            "model.qam": _sha256(model_path),
-            "report.jsonl": _sha256(report_path),
+            "model.qam": data_mod.sha256_file(model_path),
+            "report.jsonl": data_mod.sha256_file(report_path),
         },
     }
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
@@ -426,6 +418,9 @@ def main(argv=None) -> int:
             return args.func(args)
     except ParameterError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # numpy names the array it could not allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:
         where = f"{e.filename}: " if e.filename else ""

@@ -28,10 +28,22 @@ vector plus smaller jitter, all in place in one draw per split.
 Ground-truth labels of unlabeled records go to a tab-separated sidecar
 file so pseudo-label accuracy can be scored without leaking labels into
 training.
+
+Beside each dataset file it writes, ``write_dataset`` puts a binary column
+file, ``<file>.cols``, derived from the same records as a ``.pyc`` is from
+its source: the magic ``QAMCOLS1\\n``, one JSON line, then the columns as
+raw little-endian float64 (labeled q and c, then unlabeled q, c, q_aug and
+c_aug). The JSON line holds the header fields, the ids of both kinds of
+record, the labeled records' class indices, the sha256 of the dataset
+file's bytes and the sha256 of the rest of the column file. ``load_dataset``
+reads the columns from it only while both digests match and its contents
+pass every check the JSON Lines parse makes; otherwise it parses the
+dataset file, which stays the only source of errors.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
@@ -63,6 +75,10 @@ _JSON_NUMBERS = frozenset((int, float))
 _RANGE_MIN_BYTES = 1 << 19
 # the largest dim whose model input rows, [q, c] in float64, numpy can address
 _MAX_DIM = np.iinfo(np.intp).max // 16
+# the binary column file beside a dataset file (see the module docstring)
+_COLS_SUFFIX = ".cols"
+_COLS_MAGIC = b"QAMCOLS1\n"
+_COLS_KEYS = HEADER_KEYS + ("labeled_ids", "labels", "unlabeled_ids", "source_sha256", "payload_sha256")
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -203,6 +219,15 @@ def atomic_open(path, mode, **kwargs):
         with suppress(FileNotFoundError):
             os.remove(partial)
         raise
+
+
+def sha256_file(path) -> str:
+    """The hex sha256 of a file's bytes, read 64 KiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def parse_json_line(path, lineno: int, line: str, what: str = "JSON"):
@@ -455,17 +480,75 @@ def _parse_in_ranges(path, header, ranges: int):
     return _in_children([parse(start, stop) for start, stop in zip(cuts, cuts[1:-1])], own_range)
 
 
-def load_dataset(path):
+def _load_columns(path, source=None):
+    """(header, labeled Split, unlabeled Split) from the column file beside
+    the dataset file ``path``, or None unless it exists, was written from
+    the bytes ``path`` holds now (whose sha256 is ``source`` where the
+    caller has it), is whole, and holds what the JSON Lines parse accepts:
+    a valid header, non-empty unique ids, labels in range, the header's
+    labeled counts and finite values. Each column is read into its own
+    array."""
+    try:
+        with open(f"{path}{_COLS_SUFFIX}", "rb") as fh:
+            if fh.read(len(_COLS_MAGIC)) != _COLS_MAGIC:
+                return None
+            meta = json.loads(fh.readline())
+            if not isinstance(meta, dict) or sorted(meta) != sorted(_COLS_KEYS):
+                return None
+            # first the check a stale column file fails
+            if meta["source_sha256"] != (sha256_file(path) if source is None else source):
+                return None
+            header = DatasetHeader(*(meta[key] for key in HEADER_KEYS))
+            labeled_ids, labels, unlabeled_ids = meta["labeled_ids"], meta["labels"], meta["unlabeled_ids"]
+            if not all(isinstance(value, list) for value in (labeled_ids, labels, unlabeled_ids)):
+                return None
+            ids = labeled_ids + unlabeled_ids
+            if not (all(type(rid) is str and rid for rid in ids) and len(set(ids)) == len(ids)
+                    and len(labels) == len(labeled_ids)
+                    and all(type(k) is int and 0 <= k < header.num_classes for k in labels)):
+                return None
+            labels = np.array(labels, dtype=np.int64)
+            if np.bincount(labels, minlength=header.num_classes).tolist() != header.labeled_counts:
+                return None
+            rows = [len(labeled_ids)] * 2 + [len(unlabeled_ids)] * 4
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * header.dim * sum(rows):
+                return None
+            # the digest covers the JSON line as written less itself, then
+            # the columns; a short read leaves it unmatched
+            digest = hashlib.sha256(_json_line({k: v for k, v in meta.items() if k != "payload_sha256"}).encode())
+            columns = []
+            for n in rows:
+                column = np.zeros((n, header.dim), dtype="<f8")
+                fh.readinto(column)
+                digest.update(column)
+                columns.append(column.astype(np.float64, copy=False))
+    except (OSError, ValueError, RecursionError, DataFormatError):
+        # unreadable, not JSON (a UnicodeDecodeError is a ValueError) or a bad header
+        return None
+    if digest.hexdigest() != meta["payload_sha256"] or not all(np.isfinite(col).all() for col in columns):
+        return None
+    return header, Split(labeled_ids, labels, *columns[:2]), Split(unlabeled_ids, None, *columns[2:])
+
+
+def load_dataset(path, source_sha256=None):
     """Parse a dataset file into (header, labeled Split, unlabeled Split).
 
     Every violation is reported with the line number, and with the record
     id once one is known. Labeled per-class counts are checked against the
     header at the end.
 
-    A file of at least two _RANGE_MIN_BYTES ranges is parsed in byte ranges
-    on the usable cores (see ``_range_count``); the result, and any error,
-    is the same as from the serial parse.
+    The columns come from the binary column file ``write_dataset`` put
+    beside ``path`` while that file matches ``path`` and passes the checks
+    of ``_load_columns``; the loader never writes one. Otherwise a file of
+    at least two _RANGE_MIN_BYTES ranges is parsed in byte ranges on the
+    usable cores (see ``_range_count``), and a smaller one serially. The
+    result, and any error, is the same either way. A caller that has
+    hashed ``path`` passes its hex sha256 as ``source_sha256``, so that
+    the column file's source check does not hash it again.
     """
+    columns = _load_columns(path, source_sha256)
+    if columns is not None:
+        return columns
     lines = read_lines(path)
     first = next(lines, None)
     if first is None:
@@ -574,13 +657,81 @@ def _write_in_ranges(fh, header: DatasetHeader, splits, cuts) -> bool:
     return _in_children([encode(a, b) for a, b in zip(cuts[1:], cuts[2:])], first_range) is not None
 
 
-def write_dataset(path, header: DatasetHeader, *splits) -> None:
+def _loaded_columns(header: DatasetHeader, splits):
+    """The column file's JSON fields, less the digests, and its column
+    blocks in file order, as ``load_dataset`` gives them back from the
+    dataset file just written from ``splits``; None unless that is plain:
+    the header loads, no class bears the unlabeled sentinel, every id is a
+    str and every column written is an (n, dim) ndarray of floats or
+    integers, whose entries JSON carries as the numbers they are. (The
+    loader would give a tuple id back as the str of a list, and refuse a
+    bool entry, which ``astype`` would take as 0 or 1.)"""
+    fields = json.loads(_json_line(asdict(header)))  # the header line as the loader reads it
+    try:
+        name_to_index = {n: i for i, n in enumerate(DatasetHeader(**fields).class_names)}
+    except DataFormatError:
+        return None
+    if UNLABELED_SENTINEL in name_to_index:
+        return None
+    fields.update(labeled_ids=[], labels=[], unlabeled_ids=[])
+    # the blocks of each column, in the order the column file holds the columns
+    blocks = {("labeled", "q"): [], ("labeled", "c"): [],
+              **{("unlabeled", key): [] for key in ("q", "c", "q_aug", "c_aug")}}
+    for split in splits:
+        n = len(split)
+        kind = "unlabeled" if split.labels is None else "labeled"
+        written = [split.q, split.c]
+        if kind == "unlabeled" or split.q_aug is not None:
+            written += [split.q_aug, split.c_aug]
+        if not (all(isinstance(rid, str) for rid in split.ids) and all(
+                type(col) is np.ndarray and col.dtype.kind in "fiu" and col.shape == (n, fields["dim"])
+                for col in written)):
+            return None
+        fields[f"{kind}_ids"] += map(str, split.ids)
+        if kind == "labeled":
+            fields["labels"] += (name_to_index[header.class_names[split.labels[i]]] for i in range(n))
+        # a labeled split's q_aug and c_aug are checked on loading, not kept
+        for key, column in zip(("q", "c") if kind == "labeled" else ("q", "c", "q_aug", "c_aug"), written):
+            blocks[kind, key].append(column)
+    return fields, [block for column in blocks.values() for block in column]
+
+
+def _write_columns(path, header: DatasetHeader, splits, source: str) -> None:
+    """Write the column file of the dataset file ``path``, whose bytes have
+    the sha256 ``source``, where ``_loaded_columns`` gives its contents."""
+    contents = _loaded_columns(header, splits)
+    if contents is None:
+        return
+    fields, blocks = contents
+    fields["source_sha256"] = source
+
+    def payload():
+        for block in blocks:
+            yield np.ascontiguousarray(block, dtype="<f8")
+
+    digest = hashlib.sha256(_json_line(fields).encode())
+    for block in payload():
+        digest.update(block)
+    with atomic_open(f"{path}{_COLS_SUFFIX}", "wb") as fh:
+        fh.write(_COLS_MAGIC)
+        fh.write(_json_line({**fields, "payload_sha256": digest.hexdigest()}).encode())
+        fh.writelines(payload())
+
+
+def write_dataset(path, header: DatasetHeader, *splits) -> str:
     """Emit header + every split's records in order; floats round-trip
     exactly through JSON, and a non-finite one is a DataFormatError.
+    Returns the sha256 of the file.
 
     Records of at least two _RANGE_MIN_BYTES of output are encoded in
     contiguous ranges on the usable cores (see ``_range_count``); the file,
     and any error, is the same as from the serial write.
+
+    The binary column file ``<path>.cols`` (see the module docstring) is
+    then written beside it, where ``_loaded_columns`` shows what the
+    loader would read: for splits as ``load_dataset`` or the generator
+    gives them. A column file left from an earlier write names the old
+    bytes' digest, so the loader ignores it.
     """
     cuts = _record_cuts(header, splits)
     with atomic_open(path, "w", encoding="utf-8") as fh:
@@ -589,6 +740,9 @@ def write_dataset(path, header: DatasetHeader, *splits) -> None:
             fh.truncate()  # drop what a failed ranged write left
             fh.write(_json_line(asdict(header)))
             fh.writelines(_record_lines(header, splits, 0, sum(map(len, splits))))
+    source = sha256_file(path)
+    _write_columns(path, header, splits, source)
+    return source
 
 
 def load_truth(path) -> dict:
@@ -610,12 +764,18 @@ def longtail_counts(n_max: int, gamma: float, num_classes: int) -> list:
     """Geometric decay n_k = floor(n_max * gamma^(-k/(C-1))), k = 0..C-1."""
     n_max = int(n_max)
     num_classes = int(num_classes)
+    # past these bounds no split could be drawn (see SynthConfig), and
+    # n_max would not convert to a float
     if n_max < 1:
         raise ParameterError(f"n_max must be >= 1, got {n_max}")
-    if not gamma >= 1:
-        raise ParameterError(f"gamma must be >= 1, got {gamma}")
+    if n_max > np.iinfo(np.intp).max:
+        raise ParameterError(f"n_max must be at most {np.iinfo(np.intp).max}")
+    if not 1 <= gamma < math.inf:
+        raise ParameterError(f"gamma must be >= 1 and finite, got {gamma}")
     if num_classes < 2:
         raise ParameterError(f"need at least two classes, got {num_classes}")
+    if num_classes > _MAX_DIM:
+        raise ParameterError(f"need at most {_MAX_DIM} classes, one axis of dim each")
     counts = [
         math.floor(n_max * gamma ** (-k / (num_classes - 1)) + _FLOOR_GUARD)
         for k in range(num_classes)
@@ -626,6 +786,28 @@ def longtail_counts(n_max: int, gamma: float, num_classes: int) -> list:
             f"increase n_max to at least {math.ceil(gamma)}"
         )
     return counts
+
+
+def check_class_axes(num_classes: int, dim: int) -> tuple:
+    """``(num_classes, dim)`` as ints, where a split of one record per
+    class can be drawn: at least two classes, one axis of ``dim`` per
+    class for the orthogonal class means, and a draw numpy can address
+    (see ``SynthConfig``). ``qamatch generate`` checks this before it
+    fills long-tail counts, one per class."""
+    num_classes, dim = int(num_classes), int(dim)
+    if num_classes < 2:
+        raise ParameterError("need at least two classes")
+    if dim < num_classes:
+        raise ParameterError(
+            f"dim {dim} < num_classes {num_classes}: orthogonal "
+            f"class means need one axis per class"
+        )
+    if num_classes * 4 * dim * 8 > np.iinfo(np.intp).max:
+        raise ParameterError(
+            f"{num_classes} classes with dim {dim} need a draw of at least "
+            f"{num_classes} x 4 x {dim} floats, more than numpy can address"
+        )
+    return num_classes, dim
 
 
 @dataclass
@@ -650,17 +832,9 @@ class SynthConfig:
     class_names: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.num_classes = int(self.num_classes)
-        self.dim = int(self.dim)
-        if self.num_classes < 2:
-            raise ParameterError("need at least two classes")
-        if self.dim < self.num_classes:
-            raise ParameterError(
-                f"dim {self.dim} < num_classes {self.num_classes}: orthogonal "
-                f"class means need one axis per class"
-            )
-        if self.dim > _MAX_DIM:
-            raise ParameterError(f"dim must be at most {_MAX_DIM}, got {self.dim}")
+        self.num_classes, self.dim = check_class_axes(self.num_classes, self.dim)
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.separation < math.inf:
             raise ParameterError("separation must be positive and finite")
         if not 0 < self.noise_sigma < math.inf:
@@ -735,8 +909,10 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
     Splits are drawn in a fixed order (labeled train, unlabeled train,
     validation, test) from one generator seeded with cfg.seed, so the
     whole dataset is a pure function of the config. Every split is drawn
-    and checked before any file is written. Returns the emitted paths keyed
-    by role.
+    and checked before any file is written. Returns the sha256 of each file
+    written, keyed by its name in ``out_dir``: train.jsonl, valid.jsonl,
+    test.jsonl and unlabeled-truth.tsv. Each dataset file also gets its
+    column file (see ``write_dataset``), which is not listed.
     """
     rng = np.random.default_rng(cfg.seed)
     labeled = _draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False)
@@ -744,31 +920,22 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
     valid = _draw_split(cfg, rng, cfg.valid_counts, "val", augmented=False)
     test = _draw_split(cfg, rng, cfg.test_counts, "tst", augmented=False)
 
-    paths = {
-        "train": os.path.join(out_dir, "train.jsonl"),
-        "valid": os.path.join(out_dir, "valid.jsonl"),
-        "test": os.path.join(out_dir, "test.jsonl"),
-        "truth": os.path.join(out_dir, "unlabeled-truth.tsv"),
-    }
+    truth = os.path.join(out_dir, "unlabeled-truth.tsv")
     # the truth sidecar keeps the labels the train file strips
-    with atomic_open(paths["truth"], "w", encoding="utf-8") as fh:
+    with atomic_open(truth, "w", encoding="utf-8") as fh:
         fh.writelines(
             f"{rid}\t{cfg.class_names[k]}\n" for rid, k in zip(unlabeled.ids, unlabeled.labels)
         )
+    digests = {"unlabeled-truth.tsv": sha256_file(truth)}
     unlabeled.labels = None
-    write_dataset(
-        paths["train"],
-        DatasetHeader(cfg.dim, cfg.class_names, cfg.labeled_counts),
-        labeled,
-        unlabeled,
-    )
-    write_dataset(
-        paths["valid"], DatasetHeader(cfg.dim, cfg.class_names, cfg.valid_counts), valid
-    )
-    write_dataset(
-        paths["test"], DatasetHeader(cfg.dim, cfg.class_names, cfg.test_counts), test
-    )
-    return paths
+    for name, counts, splits in (
+        ("train.jsonl", cfg.labeled_counts, (labeled, unlabeled)),
+        ("valid.jsonl", cfg.valid_counts, (valid,)),
+        ("test.jsonl", cfg.test_counts, (test,)),
+    ):
+        header = DatasetHeader(cfg.dim, cfg.class_names, counts)
+        digests[name] = write_dataset(os.path.join(out_dir, name), header, *splits)
+    return digests
 
 
 def labeled_matrix(split: Split):

@@ -54,6 +54,10 @@ REPORT_KEYS = (
     "kl_prior_pseudo",
 )
 
+# The largest batch size or hidden width: a float64 matrix of two such
+# sizes, (batch, width) or (fan_in, fan_out), is one numpy can address.
+_MAX_SIZE = 2**30 - 1
+
 
 @dataclass
 class TrainConfig:
@@ -93,6 +97,8 @@ class TrainConfig:
             raise ParameterError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.labeled_batch < 1 or self.unlabeled_batch < 1:
             raise ParameterError("batch sizes must be >= 1")
+        if max(self.labeled_batch, self.unlabeled_batch) > _MAX_SIZE:
+            raise ParameterError(f"batch sizes must be at most {_MAX_SIZE}")
         if self.iterations < 1:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
         if self.eval_interval < 1:
@@ -100,6 +106,10 @@ class TrainConfig:
         self.hidden_dims = tuple(int(h) for h in self.hidden_dims)
         if any(h < 1 for h in self.hidden_dims):
             raise ParameterError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+        if any(h > _MAX_SIZE for h in self.hidden_dims):
+            raise ParameterError(f"hidden dims must be at most {_MAX_SIZE}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(f.default, float) and not math.isfinite(v):

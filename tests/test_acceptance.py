@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from qamatch.calibration import EPS_DIV, calibrate, sharpen
-from qamatch.cli import _sha256, main
+from qamatch.cli import main
 from qamatch.data import (
     DatasetHeader,
     Split,
@@ -28,6 +28,7 @@ from qamatch.data import (
     load_dataset,
     load_truth,
     longtail_counts,
+    sha256_file,
     synth_generate,
 )
 from qamatch.metrics import evaluate_model
@@ -528,7 +529,7 @@ def test_criterion_09_cli_runs_are_byte_identical(tmp_path):
                    "--config", str(cfg)])
         assert rc == 0
         digests.append(
-            (_sha256(out / "model.qam"), _sha256(out / "report.jsonl"))
+            (sha256_file(out / "model.qam"), sha256_file(out / "report.jsonl"))
         )
     elapsed = time.monotonic() - start
     verdict(

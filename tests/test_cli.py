@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qamatch
@@ -27,12 +27,11 @@ from qamatch.cli import (
     GENERATE_PRESETS,
     GENERATE_SCHEMA,
     TRAIN_SCHEMA,
-    _sha256,
     build_parser,
     main,
     resolve_train_config,
 )
-from qamatch.data import labeled_matrix, load_dataset
+from qamatch.data import labeled_matrix, load_dataset, sha256_file
 from qamatch.errors import DataFormatError
 from qamatch.metrics import evaluate_model
 from qamatch.numerics import load_model
@@ -102,6 +101,11 @@ def run_dir(tmp_path_factory, data_dir):
 def test_generate_writes_expected_files(data_dir):
     for name in ("train.jsonl", "valid.jsonl", "test.jsonl", "unlabeled-truth.tsv", "manifest.json"):
         assert (data_dir / name).exists()
+    # each dataset file has a column file beside it, which no manifest lists
+    outputs = json.loads((data_dir / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == ["test.jsonl", "train.jsonl", "unlabeled-truth.tsv", "valid.jsonl"]
+    for name in ("train.jsonl", "valid.jsonl", "test.jsonl"):
+        assert (data_dir / f"{name}.cols").exists()
 
 
 def test_train_writes_expected_files(run_dir):
@@ -350,6 +354,24 @@ HOSTILE_INPUTS = [
     # cannot address: nothing is drawn or written
     pytest.param(generate_with(dim=10**20), EXIT_USAGE, id="generate-dim-1e20"),
     pytest.param(generate_with(dim=2**58), EXIT_USAGE, id="generate-dim-2**58"),
+    # one record per class would fit at this dim, but not the labeled split
+    pytest.param(generate_with(dim=2**55), EXIT_USAGE, id="generate-dim-2**55"),
+    # numpy seeds only from non-negative integers
+    pytest.param(train_with(seed=-1), EXIT_USAGE, id="train-seed--1"),
+    pytest.param(generate_with(seed=-1), EXIT_USAGE, id="generate-seed--1"),
+    # sizes past what numpy can address, and long-tail inputs past the float
+    # range, each caught before anything is drawn or written
+    pytest.param(train_with(labeled_batch=10**20), EXIT_USAGE, id="labeled_batch-1e20"),
+    pytest.param(train_with(hidden_dims=[8, 10**20]), EXIT_USAGE, id="hidden_dims-1e20"),
+    pytest.param(generate_with(labeled_counts=[], n_max_labeled=10**4000), EXIT_USAGE,
+                 id="n_max_labeled-1e4000"),
+    pytest.param(generate_with(labeled_counts=[], gamma_labeled=math.inf), EXIT_USAGE, id="gamma_labeled-inf"),
+    pytest.param(generate_with(labeled_counts=[], num_classes=10**20), EXIT_USAGE, id="num_classes-1e20"),
+    # the class count is checked against dim before a long-tail profile of
+    # one count per class is filled
+    pytest.param(generate_with(labeled_counts=[], num_classes=10**9), EXIT_USAGE, id="num_classes-1e9"),
+    pytest.param(generate_with(labeled_counts=[], num_classes=10**9, dim=10**9), EXIT_USAGE,
+                 id="num_classes-and-dim-1e9"),
     # per-step loss_mix stays near 1.4e307, so the 20-step interval sum overflows
     pytest.param(
         train_with(scale_mix=5e306, unlabeled_batch=2, lr=1e-315,
@@ -467,6 +489,85 @@ def test_hostile_input_exit_code_without_traceback(setup, expected, data_dir, tm
     if expected in (EXIT_USAGE, EXIT_DATA):
         # a usage, config or data error is caught before anything is written
         assert not out.exists() or not any(out.iterdir())
+
+
+# what a hostile config holds: each key's checks at and past their limits,
+# numbers past the int digit limit, the float range and every size numpy
+# can address, empty lists, bad booleans and class names the loader or the
+# truth file cannot hold
+CONFIG_VALUES = [
+    "0", "-1", "1", "2", "3", "0.5", "-0.0", "1e-320", "1e308", "-1e308", "1e400", "inf", "-inf", "nan",
+    "1" + "0" * 20, str(2**63), "1" + "0" * 4000, "1" + "0" * 5000, "", " ", ",", "1,,2", "2,0", "0x10",
+    "1_0", "٣", "true", "FALSE", "maybe", "x, y, z", "x, x, y", "unlabeled, y, z", "x\ty, y, z",
+]
+# what a hostile edit does to the bytes of a config file
+CONFIG_ENCODINGS = [
+    lambda text: text.encode("utf-8"),
+    lambda text: b"\xef\xbb\xbf" + text.encode("utf-8"),  # a byte order mark
+    lambda text: text.encode("utf-16"),
+    lambda text: text.encode("utf-8").replace(b"\n", b"\r\n"),
+    lambda text: text.encode("utf-8") + b"seed = \xff\n",
+    lambda text: text.encode("utf-8") + b"seed\x00 = 1\n",
+]
+# a valid run of each command, kept short; an entry for a key already
+# here repeats it
+TRAIN_BASE = {**TRAIN_KW, "iterations": 2, "eval_interval": 1}
+HOSTILE_CONFIGS = {
+    "train": (TRAIN_SCHEMA, TRAIN_BASE),
+    "generate": (GENERATE_SCHEMA, {"seed": 1}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HOSTILE_CONFIGS))
+def test_hostile_config_exits_with_a_documented_code(command, data_dir, tmp_path, capsys):
+    schema, base = HOSTILE_CONFIGS[command]
+    keys = st.sampled_from(sorted(schema) + ["bogus", "Seed", "é"])
+    # (key, value, whether the entry is a line of its own or takes the
+    # place of the base's line for its key)
+    entries = st.lists(st.tuples(keys, st.sampled_from(CONFIG_VALUES), st.booleans()), min_size=1, max_size=4)
+    codes = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(entries, st.one_of(st.just(CONFIG_ENCODINGS[0]), st.sampled_from(CONFIG_ENCODINGS[1:])))
+    def run(entries, encode):
+        config = {key: format_value(value) for key, value in base.items()}
+        extra = []
+        for key, value, own_line in entries:
+            if own_line or key not in config:
+                extra.append((key, value))
+            else:
+                config[key] = value
+        # a valid iteration count runs that many steps: the suite keeps runs short
+        iterations = config.get("iterations", "").strip()
+        assume(not iterations.isdecimal() or int(iterations) <= 10)
+        lines = [f"{key} = {value}" for key, value in [*config.items(), *extra]]
+        cfg = put(tmp_path / "c.cfg", encode("\n".join(lines) + "\n"))
+        out = tmp_path / "o"
+        shutil.rmtree(out, ignore_errors=True)
+        argv = [command, "--out", str(out), "--config", cfg]
+        if command == "train":
+            argv += ["--data", str(data_dir)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_DIVERGED), err
+        assert "Traceback" not in err
+        if code in (EXIT_USAGE, EXIT_DATA):
+            assert not out.exists() or not any(out.iterdir())
+        codes.add(code)
+
+    run()
+    assert {EXIT_OK, EXIT_USAGE} <= codes
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    def draw(cfg, out_dir):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr("qamatch.data.synth_generate", draw)
+    out = tmp_path / "o"
+    assert main(["generate", "--out", str(out), "--config", write_cfg(tmp_path / "g.cfg", **GEN_KW)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.11 PiB for an array\n"
+    assert not any(out.iterdir())
 
 
 def test_eval_rejects_non_finite_outputs_without_warnings(data_dir, tmp_path, capsys):
@@ -667,8 +768,8 @@ def test_generate_seed_flag_changes_data(tmp_path):
     assert main(["generate", "--out", str(a), "--config", cfg, "--seed", "1"]) == EXIT_OK
     assert main(["generate", "--out", str(b), "--config", cfg, "--seed", "2"]) == EXIT_OK
     assert main(["generate", "--out", str(c), "--config", cfg, "--seed", "1"]) == EXIT_OK
-    assert _sha256(a / "train.jsonl") != _sha256(b / "train.jsonl")
-    assert _sha256(a / "train.jsonl") == _sha256(c / "train.jsonl")
+    assert sha256_file(a / "train.jsonl") != sha256_file(b / "train.jsonl")
+    assert sha256_file(a / "train.jsonl") == sha256_file(c / "train.jsonl")
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +784,7 @@ def test_generate_manifest_replays_identically(data_dir, tmp_path):
     out = tmp_path / "replayed"
     assert main(["generate", "--out", str(out), "--config", cfg]) == EXIT_OK
     for name, digest in manifest["outputs"].items():
-        assert _sha256(out / name) == digest, name
+        assert sha256_file(out / name) == digest, name
 
 
 def test_train_manifest_replays_identically(data_dir, run_dir, tmp_path):
@@ -693,7 +794,7 @@ def test_train_manifest_replays_identically(data_dir, run_dir, tmp_path):
     rc = main(["train", "--data", str(data_dir), "--out", str(out), "--config", cfg])
     assert rc == EXIT_OK
     for name, digest in manifest["outputs"].items():
-        assert _sha256(out / name) == digest, name
+        assert sha256_file(out / name) == digest, name
 
 
 def replay_train(manifest, out):
@@ -704,7 +805,7 @@ def replay_train(manifest, out):
     changed = []
     for name, digest in manifest["inputs"].items():
         path = os.path.join(data, name)
-        if (_sha256(path) if os.path.exists(path) else None) != digest:
+        if (sha256_file(path) if os.path.exists(path) else None) != digest:
             changed.append(name)
     if not changed:
         cfg = write_cfg(out.parent / "replay.cfg", **manifest["config"])
@@ -721,7 +822,7 @@ def test_empty_hidden_dims_trains_and_replays_a_linear_model(data_dir, tmp_path)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["hidden_dims"] == []
     assert replay_train(manifest, tmp_path / "replay") == []
-    assert _sha256(tmp_path / "replay" / "model.qam") == _sha256(out / "model.qam")
+    assert sha256_file(tmp_path / "replay" / "model.qam") == sha256_file(out / "model.qam")
 
 
 def test_train_manifest_input_digests_replay_and_catch_changed_data(data_dir, tmp_path):
@@ -738,7 +839,7 @@ def test_train_manifest_input_digests_replay_and_catch_changed_data(data_dir, tm
 
     assert replay_train(manifest, tmp_path / "replayed") == []
     for name, digest in manifest["outputs"].items():
-        assert _sha256(tmp_path / "replayed" / name) == digest, name
+        assert sha256_file(tmp_path / "replayed" / name) == digest, name
 
     lines = (data / "train.jsonl").read_text().splitlines(keepends=True)
     (data / "train.jsonl").write_text("".join(lines[:-1]))
@@ -755,7 +856,7 @@ def test_train_manifest_inputs_are_null_for_absent_files(data_dir, tmp_path):
     assert main(["train", "--data", str(data), "--out", str(run), "--config", cfg]) == EXIT_OK
     inputs = json.loads((run / "manifest.json").read_text())["inputs"]
     assert inputs == {
-        "train.jsonl": _sha256(data_dir / "train.jsonl"),
+        "train.jsonl": sha256_file(data_dir / "train.jsonl"),
         "valid.jsonl": None,
         "unlabeled-truth.tsv": None,
     }

@@ -1,10 +1,12 @@
 """Dataset format, loader validation, long-tail counts, and generator tests."""
 
+import hashlib
 import itertools
 import json
 import math
 import os
 import signal
+import struct
 import threading
 import time
 import tracemalloc
@@ -19,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 from qamatch import data
 from qamatch.cli import main
 from qamatch.data import (
+    UNLABELED_SENTINEL,
     DatasetHeader,
     Split,
     SynthConfig,
@@ -59,6 +62,11 @@ def test_longtail_counts_reference_profiles():
     assert longtail_counts(200, 5, 4) == [200, 116, 68, 40]
     assert longtail_counts(43, 10, 3) == [43, 13, 4]
     assert longtail_counts(1413, 10, 3) == [1413, 446, 141]
+
+
+def test_longtail_counts_refuses_more_classes_than_any_dim_allows():
+    with pytest.raises(ParameterError, match="classes"):
+        longtail_counts(10, 2.0, 10**20)
 
 
 def test_longtail_counts_gamma_one_is_flat():
@@ -118,8 +126,8 @@ def test_header_validation():
 
 def test_round_trip_is_bitwise(tmp_path):
     cfg = small_config()
-    paths = synth_generate(cfg, tmp_path)
-    header, labeled, unlabeled = load_dataset(paths["train"])
+    synth_generate(cfg, tmp_path)
+    header, labeled, unlabeled = load_dataset(tmp_path / "train.jsonl")
 
     out = tmp_path / "rewritten.jsonl"
     write_dataset(out, header, labeled, unlabeled)
@@ -311,10 +319,15 @@ def test_loader_splits_records_only_at_line_feeds(tmp_path):
         load_dataset(path)
 
 
-def assert_peak_memory_below_the_file_size(tmp_path):
-    # one line is held at a time, so the peak follows the parsed columns
+def assert_peak_memory_below_the_file_size(tmp_path, column_file=True):
+    # the column file is read one column at a time into its array, and the
+    # JSON Lines parse holds one line at a time, so the peak follows the
+    # loaded columns; without ``column_file`` the JSON Lines parse runs
     cfg = small_config(dim=8, unlabeled_counts=[1000, 1000, 1000])
-    path = synth_generate(cfg, tmp_path)["train"]
+    synth_generate(cfg, tmp_path)
+    path = tmp_path / "train.jsonl"
+    if not column_file:
+        os.remove(f"{path}.cols")
     tracemalloc.start()
     try:
         load_dataset(path)
@@ -326,6 +339,274 @@ def assert_peak_memory_below_the_file_size(tmp_path):
 
 def test_loader_peak_memory_stays_below_the_file_size(tmp_path):
     assert_peak_memory_below_the_file_size(tmp_path)
+
+
+def test_loader_peak_memory_stays_below_the_file_size_without_a_column_file(tmp_path):
+    assert_peak_memory_below_the_file_size(tmp_path, column_file=False)
+
+
+# ---------------------------------------------------------------------------
+# the binary column file
+
+
+def load_from_json_lines(path):
+    """load_dataset(path) with the column file moved away, or its error:
+    the JSON Lines are parsed, in ranges where that is patched in."""
+    cols = f"{path}.cols"
+    os.rename(cols, f"{cols}.away")
+    try:
+        return load_dataset(path)
+    except DataFormatError as e:
+        return str(e)
+    finally:
+        os.rename(f"{cols}.away", cols)
+
+
+def assert_same_load(expected, path):
+    """load_dataset(path) gives ``expected``, a result or an error message,
+    with writable C-contiguous columns."""
+    try:
+        actual = load_dataset(path)
+    except DataFormatError as e:
+        assert str(e) == expected
+        return
+    assert not isinstance(expected, str), expected
+    assert actual[0] == expected[0]
+    assert_same_splits(expected[1:], actual[1:])
+    for split in actual[1:]:
+        for key in ("q", "c", "q_aug", "c_aug"):
+            column = getattr(split, key)
+            if column is not None:
+                assert column.flags.c_contiguous and column.flags.writeable, key
+
+
+def test_column_file_gives_the_load_without_parsing_json(tmp_path, monkeypatch):
+    synth_generate(small_config(), tmp_path)
+    for name in ("train.jsonl", "valid.jsonl", "test.jsonl"):
+        path = tmp_path / name
+        expected = load_from_json_lines(path)
+        with monkeypatch.context() as mp:
+            mp.setattr(data, "read_lines", None)  # the JSON Lines parse cannot run
+            assert_same_load(expected, path)
+
+
+def test_stale_column_file_is_ignored(tmp_path):
+    assert main(["generate", "--out", str(tmp_path), "--seed", "3"]) == 0
+    path = tmp_path / "train.jsonl"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    record["q"][0] = 12.5
+    path.write_text(header + json.dumps(record) + "\n" + "".join(rest))
+    _, labeled, _ = load_dataset(path)
+    assert labeled.q[0, 0] == 12.5
+    assert_same_load(load_from_json_lines(path), path)
+
+
+def split_column_file(blob):
+    """(JSON fields, payload) of a column file, or None where its JSON line
+    does not parse."""
+    start = len(data._COLS_MAGIC)
+    end = blob.find(b"\n", start) + 1
+    try:
+        fields = json.loads(blob[start:end])
+    except ValueError:
+        return None
+    return (fields, blob[end:]) if isinstance(fields, dict) else None
+
+
+def join_column_file(fields, payload, reseal):
+    """A column file of ``fields`` and ``payload``; with ``reseal`` its
+    payload digest is recomputed, so that only a content check can refuse
+    it."""
+    if reseal:
+        rest = {k: v for k, v in fields.items() if k != "payload_sha256"}
+        digest = hashlib.sha256(data._json_line(rest).encode() + payload).hexdigest()
+        fields = {**rest, "payload_sha256": digest}
+    return data._COLS_MAGIC + data._json_line(fields).encode() + payload
+
+
+def edit_field(key, edit):
+    def apply(fields, payload):
+        if isinstance(fields.get(key), list) and fields[key]:
+            fields[key] = edit(list(fields[key]))
+        elif key in fields and not isinstance(fields[key], list):
+            fields[key] = edit(fields[key])
+        return fields, payload
+    return apply
+
+
+def nan_first_value(fields, payload):
+    return fields, struct.pack("<d", math.nan) + payload[8:]
+
+
+# edits that change what the file holds: a stale digest refuses them
+STALE_EDITS = {
+    "source_sha256": edit_field("source_sha256", lambda v: hashlib.sha256(b"other").hexdigest()),
+    "payload_sha256": edit_field("payload_sha256", lambda v: "0" * 64),
+    "labeled_counts": edit_field("labeled_counts", lambda v: [v[0] + 1, *v[1:]]),
+    "dim": edit_field("dim", lambda v: v + 1),
+    "labeled_ids": edit_field("labeled_ids", lambda v: ["other", *v[1:]]),
+    "unlabeled_ids": edit_field("unlabeled_ids", lambda v: v[::-1]),
+    "labels": edit_field("labels", lambda v: [(v[0] + 1) % 3, *v[1:]]),
+}
+# edits that break a check of the JSON Lines parse: refused even resealed
+INVALID_EDITS = {
+    "counts_mismatch": edit_field("labeled_counts", lambda v: [v[0] + 1, *v[1:]]),
+    "dim_mismatch": edit_field("dim", lambda v: v + 1),
+    "dim_zero": edit_field("dim", lambda v: 0),
+    "dim_string": edit_field("dim", str),
+    "class_names_repeated": edit_field("class_names", lambda v: [v[0], *v[:-1]]),
+    "duplicate_id": edit_field("labeled_ids", lambda v: [v[-1], *v[1:]]),
+    "empty_id": edit_field("labeled_ids", lambda v: ["", *v[1:]]),
+    "int_id": edit_field("labeled_ids", lambda v: [7, *v[1:]]),
+    "label_out_of_range": edit_field("labels", lambda v: [3, *v[1:]]),
+    "huge_label": edit_field("labels", lambda v: [10**18, *v[1:]]),
+    "bool_label": edit_field("labels", lambda v: [True, *v[1:]]),
+    "ids_not_a_list": edit_field("unlabeled_ids", lambda v: {"a": 1}),
+    "missing_key": lambda fields, payload: ({k: v for k, v in fields.items() if k != "labels"}, payload),
+    "extra_key": lambda fields, payload: ({**fields, "extra": 1}, payload),
+    "nan_value": nan_first_value,
+}
+COLUMN_FILE_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
+    st.tuples(st.just("field"), st.sampled_from(sorted(STALE_EDITS)), st.just(False)),
+    st.tuples(st.just("field"), st.sampled_from(sorted(INVALID_EDITS)), st.booleans()),
+)
+
+
+def edit_column_file(blob, edits):
+    for kind, *args in edits:
+        if kind == "flip":
+            blob = bytearray(blob)
+            blob[args[0] % len(blob)] ^= args[1]
+            blob = bytes(blob)
+        elif kind == "cut":
+            blob = blob[: args[0] % (len(blob) + 1)]
+        elif kind == "append":
+            blob += args[0]
+        elif (parts := split_column_file(blob)) is not None:
+            name, reseal = args
+            blob = join_column_file(*{**STALE_EDITS, **INVALID_EDITS}[name](*parts), reseal)
+    return blob
+
+
+def test_mutated_column_file_loads_and_trains_as_the_json_lines_do(tmp_path, capsys):
+    cfg = small_config(dim=3, labeled_counts=[4, 3, 2], unlabeled_counts=[5, 3, 2])
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    synth_generate(cfg, data_dir)
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text("iterations = 6\neval_interval = 3\nlabeled_batch = 4\n"
+                         "unlabeled_batch = 6\nhidden_dims = 5\n")
+    names = ("train.jsonl", "valid.jsonl", "test.jsonl")
+    blobs = {name: (data_dir / f"{name}.cols").read_bytes() for name in names}
+
+    def run_cli():
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(train_cfg),
+                     "--force"]) == 0
+        assert main(["eval", "--model", str(out / "model.qam"), "--data", str(data_dir / "test.jsonl")]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return (out / "model.qam").read_bytes(), (out / "report.jsonl").read_bytes(), captured.out
+
+    expected = {name: load_from_json_lines(data_dir / name) for name in names}
+    for name in names:
+        os.rename(data_dir / f"{name}.cols", data_dir / f"{name}.away")
+    expected_run = run_cli()
+    for name in names:
+        os.rename(data_dir / f"{name}.away", data_dir / f"{name}.cols")
+    outcomes = set()
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(COLUMN_FILE_EDITS, min_size=1, max_size=3))
+    def load_edited(edits):
+        for name in names:
+            path = data_dir / name
+            blob = edit_column_file(blobs[name], edits)
+            (data_dir / f"{name}.cols").write_bytes(blob)
+            used = data._load_columns(path) is not None
+            assert used == (blob == blobs[name]), name
+            outcomes.add(used)
+            assert_same_load(expected[name], path)
+        assert run_cli() == expected_run
+
+    load_edited()
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(STALE_EDITS) + sorted(INVALID_EDITS))
+def test_each_column_file_edit_is_refused(tmp_path, name):
+    synth_generate(small_config(), tmp_path)
+    path = tmp_path / "train.jsonl"
+    expected = load_from_json_lines(path)
+    cols = tmp_path / "train.jsonl.cols"
+    blob = cols.read_bytes()
+    for reseal in [False, True] if name in INVALID_EDITS else [False]:
+        edited = edit_column_file(blob, [("field", name, reseal)])
+        assert edited != blob
+        cols.write_bytes(edited)
+        assert data._load_columns(path) is None
+        assert_same_load(expected, path)
+
+
+def loader_form_splits(tmp_path, edit):
+    header, labeled, unlabeled = load_dataset(write_mutated(tmp_path, "base.jsonl", lambda ls: ls))
+    return edit(header, labeled, unlabeled)
+
+
+def tuple_ids(header, labeled, unlabeled):
+    return header, Split([("a", 1), ("b", 2)], labeled.labels, labeled.q, labeled.c), unlabeled
+
+
+def float32_columns(header, labeled, unlabeled):
+    # 0.1 in float32 is another number than in float64
+    return header, Split(labeled.ids, labeled.labels, (labeled.q + 0.1).astype(np.float32), labeled.c), unlabeled
+
+
+def int_column(header, labeled, unlabeled):
+    return header, Split(labeled.ids, labeled.labels, (labeled.q * 1000).astype(np.int64), labeled.c), unlabeled
+
+
+def bool_column(header, labeled, unlabeled):
+    return header, Split(labeled.ids, labeled.labels, labeled.q > 0, labeled.c), unlabeled
+
+
+def sentinel_class(header, labeled, unlabeled):
+    return DatasetHeader(header.dim, ["yes", UNLABELED_SENTINEL], header.labeled_counts), labeled, unlabeled
+
+
+def wide_labeled_aug(header, labeled, unlabeled):
+    wide = np.zeros((len(labeled), header.dim + 1))
+    return header, Split(labeled.ids, labeled.labels, labeled.q, labeled.c, wide, wide), unlabeled
+
+
+def negative_count(header, labeled, unlabeled):
+    header.labeled_counts[0] = -1  # past DatasetHeader's checks, which ran on construction
+    return header, labeled, unlabeled
+
+
+@pytest.mark.parametrize("edit,column_file", [
+    (lambda *splits: splits, True),
+    (negative_count, False),  # the header does not load
+    (tuple_ids, False),  # the loader gives "['a', 1]" back
+    (float32_columns, True),  # JSON carries each float32 value as the float64 it is
+    (int_column, True),
+    (bool_column, False),  # the loader refuses a JSON true
+    (sentinel_class, False),  # the loader reads a "no" record as unlabeled
+    (wide_labeled_aug, False),  # the loader refuses the labeled q_aug
+], ids=["loader-form", "negative-count", "tuple-ids", "float32-column", "int64-column", "bool-column",
+        "sentinel-class", "wide-labeled-q_aug"])
+def test_write_dataset_writes_a_column_file_only_where_the_loader_gives_it_back(tmp_path, edit, column_file):
+    header, *splits = loader_form_splits(tmp_path, lambda *splits: splits)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(path, header, *splits)  # leaves a column file for other bytes
+    header, *splits = loader_form_splits(tmp_path, edit)
+    write_dataset(path, header, *splits)
+    assert (data._load_columns(path) is not None) == column_file
+    assert_same_load(load_from_json_lines(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +672,8 @@ def write_interleaved(tmp_path, newline, blank_lines, odd_ids):
     written with ``newline``, a blank line after every record if asked, and
     ids holding a raw U+2028 and U+0085 if asked."""
     cfg = small_config(dim=3, unlabeled_counts=[40, 20, 10])
-    with open(synth_generate(cfg, tmp_path)["train"], encoding="utf-8") as fh:
+    synth_generate(cfg, tmp_path)
+    with open(tmp_path / "train.jsonl", encoding="utf-8") as fh:
         header, *records = fh.read().splitlines()
     labeled, unlabeled = records[:11], records[11:]
     records = [r for pair in itertools.zip_longest(labeled, unlabeled) for r in pair if r]
@@ -564,9 +846,26 @@ def test_loader_parses_serially_while_another_thread_runs(tmp_path, monkeypatch)
 
 
 @needs_fork
+def test_loader_parses_serially_where_no_cut_falls_between_lines(tmp_path, monkeypatch):
+    # the one record is most of the file, so the one cut moves to its end
+    path = tmp_path / "one.jsonl"
+    labeled = Split(["a"], np.array([0]), np.full((1, 64), 0.1), np.full((1, 64), 0.2))
+    write_dataset(path, DatasetHeader(64, ["yes", "no"], [1, 0]), labeled)
+    os.remove(f"{path}.cols")
+    expected = load_dataset(path)
+    assert data._cut_points(path, 2) == [0, os.path.getsize(path)]
+    runs = parse_in_ranges_everywhere(monkeypatch)
+    forks = count_forks(monkeypatch)
+    header, *splits = load_dataset(path)
+    assert runs == [None] and forks == []
+    assert header == expected[0]
+    assert_same_splits(expected[1:], splits)
+
+
+@needs_fork
 def test_loader_peak_memory_stays_below_the_file_size_in_ranges(tmp_path, monkeypatch):
     runs = parse_in_ranges_everywhere(monkeypatch)
-    assert_peak_memory_below_the_file_size(tmp_path)
+    assert_peak_memory_below_the_file_size(tmp_path, column_file=False)
     assert len(runs) == 1 and runs[0] is not None
 
 
@@ -581,7 +880,8 @@ HOSTILE_BYTES = [
 
 @needs_fork
 def test_loader_gives_a_data_error_or_the_same_result_on_hostile_files(tmp_path):
-    base = open(synth_generate(small_config(dim=3, unlabeled_counts=[3, 2, 1]), tmp_path)["train"], "rb").read()
+    synth_generate(small_config(dim=3, unlabeled_counts=[3, 2, 1]), tmp_path)
+    base = (tmp_path / "train.jsonl").read_bytes()
     # each edit deletes up to 8 bytes at a position and inserts a piece there
     edits = st.lists(st.tuples(st.integers(0, len(base)), st.integers(0, 8), st.sampled_from(HOSTILE_BYTES)),
                      min_size=1, max_size=4)
@@ -679,7 +979,7 @@ def test_write_in_ranges_matches_the_serial_write(tmp_path, monkeypatch, cores):
     assert "".join(ranged) == "".join(data._record_lines(header, splits, 0, n))
     monkeypatch.undo()
     path = assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores)
-    assert_same_splits(splits, load_dataset(path)[1:])
+    assert_same_splits(splits, load_from_json_lines(path)[1:])
 
 
 @needs_fork
@@ -697,7 +997,7 @@ def test_write_in_ranges_cuts_on_the_labeled_unlabeled_boundary(tmp_path, monkey
     assert data._record_cuts(header, [labeled, unlabeled]) == [0, len(labeled), len(labeled) + len(unlabeled)]
     monkeypatch.undo()
     path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, unlabeled], 2)
-    assert_same_splits([labeled, unlabeled], load_dataset(path)[1:])
+    assert_same_splits([labeled, unlabeled], load_from_json_lines(path)[1:])
 
 
 @needs_fork
@@ -705,7 +1005,7 @@ def test_write_in_ranges_with_no_unlabeled_records(tmp_path, monkeypatch):
     header, labeled, _ = drawn_splits()
     empty = Split([], None, np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
     path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, empty], 3)
-    assert_same_splits([labeled, empty], load_dataset(path)[1:])
+    assert_same_splits([labeled, empty], load_from_json_lines(path)[1:])
 
 
 def in_children(monkeypatch, wrap):
@@ -897,10 +1197,12 @@ def test_write_and_load_round_trip_any_finite_floats_bit_for_bit(tmp_path):
                     ranges_everywhere(mp, cores)
                 forked = count_forks(mp)
                 write_dataset(path, header, labeled, unlabeled)
-                loaded = load_dataset(path)
+                loaded = load_from_json_lines(path)
             forks.extend(forked)
             assert loaded[0] == header
             assert_same_splits([labeled, unlabeled], loaded[1:])
+            assert data._load_columns(path) is not None
+            assert_same_load(loaded, path)  # from the column file
         assert_no_child_left()
 
     round_trip()
@@ -924,31 +1226,31 @@ def test_generate_is_deterministic(tmp_path):
 
 def test_generate_counts_match_config(tmp_path):
     cfg = small_config()
-    paths = synth_generate(cfg, tmp_path)
-    header, labeled, unlabeled = load_dataset(paths["train"])
+    synth_generate(cfg, tmp_path)
+    header, labeled, unlabeled = load_dataset(tmp_path / "train.jsonl")
     assert header.labeled_counts == cfg.labeled_counts
     per_class = [0] * 3
     for label in labeled.labels:
         per_class[label] += 1
     assert per_class == cfg.labeled_counts
     assert len(unlabeled) == sum(cfg.unlabeled_counts)
-    vh, valid, vunl = load_dataset(paths["valid"])
+    vh, valid, vunl = load_dataset(tmp_path / "valid.jsonl")
     assert vh.labeled_counts == cfg.valid_counts and len(vunl) == 0
 
 
 def test_generated_truth_covers_every_unlabeled_id(tmp_path):
     cfg = small_config()
-    paths = synth_generate(cfg, tmp_path)
-    _, _, unlabeled = load_dataset(paths["train"])
-    truth = load_truth(paths["truth"])
+    synth_generate(cfg, tmp_path)
+    _, _, unlabeled = load_dataset(tmp_path / "train.jsonl")
+    truth = load_truth(tmp_path / "unlabeled-truth.tsv")
     assert set(truth) == set(unlabeled.ids)
     assert set(truth.values()) <= set(cfg.class_names)
 
 
 def test_aug_sigma_zero_copies_vectors(tmp_path):
     cfg = small_config(aug_sigma=0.0)
-    paths = synth_generate(cfg, tmp_path)
-    _, _, unlabeled = load_dataset(paths["train"])
+    synth_generate(cfg, tmp_path)
+    _, _, unlabeled = load_dataset(tmp_path / "train.jsonl")
     np.testing.assert_array_equal(unlabeled.q_aug, unlabeled.q)
     np.testing.assert_array_equal(unlabeled.c_aug, unlabeled.c)
 
@@ -1052,8 +1354,8 @@ def test_draw_split_peak_memory_stays_under_one_and_a_half_draws(augmented):
 def test_class_clusters_are_separated(tmp_path):
     # with a wide margin the class centroids recover the configured means
     cfg = small_config(separation=6.0, noise_sigma=0.3)
-    paths = synth_generate(cfg, tmp_path)
-    _, labeled, _ = load_dataset(paths["train"])
+    synth_generate(cfg, tmp_path)
+    _, labeled, _ = load_dataset(tmp_path / "train.jsonl")
     for k in range(3):
         rows = labeled.q[labeled.labels == k]
         centroid = rows.mean(axis=0)
@@ -1143,8 +1445,8 @@ def test_unlabeled_views_match_the_hstacked_views():
 
 def test_matrix_helpers(tmp_path):
     cfg = small_config()
-    paths = synth_generate(cfg, tmp_path)
-    header, labeled, unlabeled = load_dataset(paths["train"])
+    synth_generate(cfg, tmp_path)
+    header, labeled, unlabeled = load_dataset(tmp_path / "train.jsonl")
     X, y = labeled_matrix(labeled)
     assert X.shape == (11, 8) and y.shape == (11,)
     views = unlabeled_matrices(unlabeled)

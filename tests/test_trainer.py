@@ -207,7 +207,8 @@ def test_build_trainer_keeps_the_unlabeled_columns_without_a_copy(tmp_path):
     cfg = SynthConfig(num_classes=3, dim=32, separation=2.5, noise_sigma=0.8, aug_sigma=0.3,
                       seed=7, labeled_counts=[12, 5, 2], unlabeled_counts=[700, 700, 600],
                       valid_counts=[1, 1, 1], test_counts=[1, 1, 1])
-    header, labeled, unlabeled = load_dataset(synth_generate(cfg, tmp_path)["train"])
+    synth_generate(cfg, tmp_path)
+    header, labeled, unlabeled = load_dataset(tmp_path / "train.jsonl")
     keys = ("q", "c", "q_aug", "c_aug")
     columns = sum(getattr(unlabeled, key).nbytes for key in keys)
     tracemalloc.start()
