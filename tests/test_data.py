@@ -667,10 +667,14 @@ def assert_same_splits(expected, actual):
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
 
 
+ODD_ID_SUFFIX = "\u2028\x85"
+
+
 def write_interleaved(tmp_path, newline, blank_lines, odd_ids):
     """A generated train file with labeled and unlabeled records alternating,
     written with ``newline``, a blank line after every record if asked, and
-    ids holding a raw U+2028 and U+0085 if asked."""
+    ids ending in ODD_ID_SUFFIX, a raw U+2028 and U+0085, if asked. It has
+    no column file."""
     cfg = small_config(dim=3, unlabeled_counts=[40, 20, 10])
     synth_generate(cfg, tmp_path)
     with open(tmp_path / "train.jsonl", encoding="utf-8") as fh:
@@ -679,7 +683,7 @@ def write_interleaved(tmp_path, newline, blank_lines, odd_ids):
     records = [r for pair in itertools.zip_longest(labeled, unlabeled) for r in pair if r]
     if odd_ids:
         records = [
-            json.dumps({**rec, "id": rec["id"] + "\u2028\x85"}, ensure_ascii=False)
+            json.dumps({**rec, "id": rec["id"] + ODD_ID_SUFFIX}, ensure_ascii=False)
             for rec in map(json.loads, records)
         ]
     lines = [header] + [r + newline if blank_lines else r for r in records]
@@ -709,6 +713,30 @@ def test_parse_in_ranges_matches_the_serial_parse(tmp_path, ranges, newline, bla
         assert all(raw[c - 2 * len(nl) : c] == 2 * nl or raw[c : c + len(nl)] == nl for c in cuts[1:-1])
     assert_same_splits(serial, data._parse_in_ranges(path, header, ranges))
     assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "newline,blank_lines,odd_ids",
+    [("\n", False, False), ("\r\n", False, False), ("\n", True, False),
+     ("\r\n", True, False), ("\n", False, True), ("\r", False, False), ("\r", True, False)],
+    ids=["lf", "crlf", "blank-lines", "crlf-blank-lines", "u2028-ids", "cr", "cr-blank-lines"],
+)
+def test_serial_parse_gives_the_generated_records_whatever_the_line_ends(
+        tmp_path, newline, blank_lines, odd_ids):
+    # needs no fork: this is the parse of every small file and of every
+    # platform without fork
+    path = write_interleaved(tmp_path, newline, blank_lines, odd_ids)
+    assert os.path.getsize(path) < 2 * data._RANGE_MIN_BYTES  # load_dataset parses it serially
+    # the generated records, as the column file of the generated train file holds them
+    expected = data._load_columns(tmp_path / "train.jsonl")
+    assert expected is not None
+    if odd_ids:
+        for split in expected[1:]:
+            split.ids = [rid + ODD_ID_SUFFIX for rid in split.ids]
+    header, *splits = load_dataset(path)
+    assert len(splits[0]) == 11 and len(splits[1]) == 70
+    assert header == expected[0]
+    assert_same_splits(expected[1:], splits)
 
 
 # valid unlabeled records put after write_mutated's header, so that the
