@@ -35,16 +35,23 @@ its source: the magic ``QAMCOLS1\\n``, one JSON line, then the columns as
 raw little-endian float64 (labeled q and c, then unlabeled q, c, q_aug and
 c_aug). The JSON line holds the header fields, the ids of both kinds of
 record, the labeled records' class indices, the sha256 of the dataset
-file's bytes and the sha256 of the rest of the column file. ``load_dataset``
-reads the columns from it only while both digests match and its contents
-pass every check the JSON Lines parse makes; otherwise it parses the
-dataset file, which stays the only source of errors.
+file's bytes and the sha256 of the rest of the column file, taken over
+the JSON line as written less its last member, that digest itself.
+``load_dataset`` reads the columns from it only while both digests match
+and its contents pass every check the JSON Lines parse makes; otherwise
+it parses the dataset file, which stays the only source of errors. The
+dataset file's digest is the caller's where it passes one; otherwise a
+file of 2 MiB or more is hashed on a helper thread while the column file
+is read and checked, and a smaller one first.
+
+Text files are read a block of about 64 KiB of whole lines at a time
+(``read_blocks``), so a reader holds one block of lines, not the file.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
-import io
 import json
 import logging
 import marshal
@@ -56,6 +63,7 @@ import threading
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,12 +81,22 @@ _JSON_NUMBERS = frozenset((int, float))
 # about 22 ms to parse 512 KiB and about 35 ms to encode it, so a file
 # under 1 MiB stays serial.
 _RANGE_MIN_BYTES = 1 << 19
+# A text reader reads this many bytes of lines at a time, a multiple of the
+# _DECODE_BYTES at a time io.TextIOWrapper decodes, so that undecodable
+# bytes stop it where they stop a line-at-a-time reader.
+_BLOCK_BYTES = 1 << 16
+_DECODE_BYTES = 1 << 13
 # the largest dim whose model input rows, [q, c] in float64, numpy can address
 _MAX_DIM = np.iinfo(np.intp).max // 16
 # the binary column file beside a dataset file (see the module docstring)
 _COLS_SUFFIX = ".cols"
 _COLS_MAGIC = b"QAMCOLS1\n"
 _COLS_KEYS = HEADER_KEYS + ("labeled_ids", "labels", "unlabeled_ids", "source_sha256", "payload_sha256")
+# _load_columns hashes a dataset file of at least this size on a helper
+# thread while it reads the column file, where the caller has no digest:
+# below about 1.5 MB the thread's start and its hand-offs of the GIL cost
+# more than the overlap saves (and 0.3 ms more on a 180 KB test file).
+_HASH_THREAD_MIN_BYTES = 1 << 21
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -159,48 +177,87 @@ def _append_vector(column, raw, dim, what, rid, path, lineno):
     raise DataFormatError(f"{path}: line {lineno}: record {rid!r}: {what} {problem}")
 
 
-class _ByteBudget(io.RawIOBase):
-    """A raw binary file that ends after ``budget`` more bytes."""
-
-    def __init__(self, raw, budget):
-        self._raw, self._left = raw, budget
-
-    def readable(self):
-        return True
-
-    def readinto(self, buf):
-        n = self._raw.readinto(memoryview(buf)[: self._left])
-        self._left -= n
-        return n
-
-    def close(self):
-        self._raw.close()
-        super().close()
+def _split_at_line_feeds(text):
+    """``text.split("\\n")``, found one line feed at a time."""
+    lines, i = [], 0
+    while (j := text.find("\n", i)) >= 0:
+        lines.append(text[i:j])
+        i = j + 1
+    lines.append(text[i:])
+    return lines
 
 
-def read_lines(path, start=0, stop=None):
-    """Yield (lineno, line) for each line of a UTF-8 text file, without its
-    line feed. Lines end only at a line feed (as JSON Lines records do) once
-    universal newlines have turned CRLF and CR into one, and only one line
-    is held at a time. Undecodable bytes are a DataFormatError naming the
-    path (a UnicodeDecodeError does not carry it), raised when the reader
-    reaches them.
+def read_blocks(path, start=0, stop=None):
+    """Yield (lineno, lines) for each block of about _BLOCK_BYTES of whole
+    lines of a UTF-8 text file: ``lines`` is a list of the block's lines
+    without their line ends, and ``lineno`` the number of its first line.
+    Lines end only at a line feed (as JSON Lines records do) once universal
+    newlines have turned CRLF and CR into one. Only one block of lines is
+    held at a time; a line longer than a block comes whole, in a longer
+    block.
+
+    Undecodable bytes are a DataFormatError naming the path (a
+    UnicodeDecodeError does not carry it), raised where
+    ``io.TextIOWrapper``, which decodes _DECODE_BYTES at a time from
+    ``start``, raises it: once the lines that end before the piece that
+    holds them have been yielded (a CR that ends that piece may begin a
+    CRLF, so it ends no line yet).
 
     ``start`` and ``stop`` limit the reader to the bytes [start, stop), to
     the end of the file when ``stop`` is None, and number lines from the
     first line of that range. Where ``start`` and ``stop`` follow a line
     feed, the range reads as the same lines as in the whole file."""
-    raw = open(path, "rb", buffering=0)
-    if start:
-        raw.seek(start)
-    if stop is not None:
-        raw = _ByteBudget(raw, stop - start)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                yield lineno, line.rstrip("\n")
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+    lineno = 1
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    pending = []  # the text of the line the last block ended in
+    cr = ""  # a CR that ended the last block, which may begin a CRLF
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while True:
+            chunk = fh.read(_BLOCK_BYTES if stop is None else min(_BLOCK_BYTES, stop - start))
+            start += len(chunk)
+            error = None
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as e:
+                # the decoder is as it was: decode again, up to the piece
+                # that fails
+                error = DataFormatError(f"{path}: not UTF-8 text ({e.reason})")
+                pieces = []
+                with suppress(UnicodeDecodeError):
+                    for i in range(0, len(chunk), _DECODE_BYTES):
+                        pieces.append(decoder.decode(chunk[i : i + _DECODE_BYTES]))
+                text = "".join(pieces)
+            done = not (chunk or error)  # at the end of the file, what is left is the last line
+            text = cr + text
+            cr = "\r" if text.endswith("\r") and not done else ""
+            if cr:
+                text = text[:-1]
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            # str.split tests every character, and str.find skips to the next
+            # line feed: the split is faster on lines under about 512
+            # characters, the find on longer ones
+            lines = text.split("\n") if text.count("\n", 0, 2048) > 4 else _split_at_line_feeds(text)
+            pending.append(lines[0])
+            if len(lines) > 1 or done:
+                lines[0] = "".join(pending)
+                pending = [] if done else [lines.pop()]
+                if done and not lines[-1]:  # what follows the last line feed is no line
+                    lines.pop()
+                if lines:
+                    yield lineno, lines
+                    lineno += len(lines)
+            if error is not None:
+                raise error
+            if done:
+                return
+
+
+def read_lines(path, start=0, stop=None):
+    """An iterator of (lineno, line) for each line that ``read_blocks``
+    gives, with the same arguments, line ends and errors."""
+    return chain.from_iterable(enumerate(lines, lineno) for lineno, lines in read_blocks(path, start, stop))
 
 
 @contextmanager
@@ -222,7 +279,9 @@ def atomic_open(path, mode, **kwargs):
 
 
 def sha256_file(path) -> str:
-    """The hex sha256 of a file's bytes, read 64 KiB at a time."""
+    """The hex sha256 of a file's bytes, read 64 KiB at a time.
+    ``load_dataset`` runs it on a helper thread for a large dataset file
+    whose digest the caller does not pass (see ``_load_columns``)."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -480,6 +539,33 @@ def _parse_in_ranges(path, header, ranges: int):
     return _in_children([parse(start, stop) for start, stop in zip(cuts, cuts[1:-1])], own_range)
 
 
+def _sha256_in_thread(path):
+    """Start ``sha256_file(path)`` on a helper thread. Returns a function
+    that joins the thread and gives the hex digest, or None where reading
+    the file raised OSError."""
+    digest = []
+
+    def run():
+        with suppress(OSError):
+            digest.append(sha256_file(path))
+
+    thread = threading.Thread(target=run, name="qamatch-sha256")
+    thread.start()
+
+    def join():
+        thread.join()
+        return digest[0] if digest else None
+
+    return join
+
+
+def _seal(digest: str) -> bytes:
+    """The end of the column file's JSON line: its last member, the payload
+    digest ``digest``, and the closing brace. The digest covers the line
+    with this end cut and ``}\\n`` in its place, then the columns."""
+    return b',"payload_sha256":"' + digest.encode() + b'"}\n'
+
+
 def _load_columns(path, source=None):
     """(header, labeled Split, unlabeled Split) from the column file beside
     the dataset file ``path``, or None unless it exists, was written from
@@ -487,16 +573,28 @@ def _load_columns(path, source=None):
     caller has it), is whole, and holds what the JSON Lines parse accepts:
     a valid header, non-empty unique ids, labels in range, the header's
     labeled counts and finite values. Each column is read into its own
-    array."""
+    array. Where ``source`` is not given, a dataset file of at least
+    _HASH_THREAD_MIN_BYTES is hashed on a helper thread while this one
+    reads and checks the column file, and the thread is joined before this
+    returns; a smaller one is hashed first."""
+    join = None
     try:
         with open(f"{path}{_COLS_SUFFIX}", "rb") as fh:
             if fh.read(len(_COLS_MAGIC)) != _COLS_MAGIC:
                 return None
-            meta = json.loads(fh.readline())
-            if not isinstance(meta, dict) or sorted(meta) != sorted(_COLS_KEYS):
+            if source is None:
+                if os.path.getsize(path) >= _HASH_THREAD_MIN_BYTES:
+                    join = _sha256_in_thread(path)
+                else:
+                    source = sha256_file(path)
+            line = fh.readline()
+            meta = json.loads(line)
+            if (not isinstance(meta, dict) or sorted(meta) != sorted(_COLS_KEYS)
+                    or not isinstance(meta["payload_sha256"], str)):
                 return None
-            # first the check a stale column file fails
-            if meta["source_sha256"] != (sha256_file(path) if source is None else source):
+            # first the check a stale column file fails, where the digest is
+            # at hand; the thread's digest is checked once it is joined
+            if join is None and meta["source_sha256"] != source:
                 return None
             header = DatasetHeader(*(meta[key] for key in HEADER_KEYS))
             labeled_ids, labels, unlabeled_ids = meta["labeled_ids"], meta["labels"], meta["unlabeled_ids"]
@@ -513,9 +611,10 @@ def _load_columns(path, source=None):
             rows = [len(labeled_ids)] * 2 + [len(unlabeled_ids)] * 4
             if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * header.dim * sum(rows):
                 return None
-            # the digest covers the JSON line as written less itself, then
-            # the columns; a short read leaves it unmatched
-            digest = hashlib.sha256(_json_line({k: v for k, v in meta.items() if k != "payload_sha256"}).encode())
+            # a line that ends otherwise than with _seal, or a short read,
+            # leaves the digest unmatched
+            digest = hashlib.sha256(memoryview(line)[: len(line) - len(_seal(meta["payload_sha256"]))])
+            digest.update(b"}\n")
             columns = []
             for n in rows:
                 column = np.zeros((n, header.dim), dtype="<f8")
@@ -525,7 +624,11 @@ def _load_columns(path, source=None):
     except (OSError, ValueError, RecursionError, DataFormatError):
         # unreadable, not JSON (a UnicodeDecodeError is a ValueError) or a bad header
         return None
-    if digest.hexdigest() != meta["payload_sha256"] or not all(np.isfinite(col).all() for col in columns):
+    finally:
+        if join is not None:
+            source = join()
+    if (meta["source_sha256"] != source or digest.hexdigest() != meta["payload_sha256"]
+            or not all(np.isfinite(col).all() for col in columns)):
         return None
     return header, Split(labeled_ids, labels, *columns[:2]), Split(unlabeled_ids, None, *columns[2:])
 
@@ -544,7 +647,12 @@ def load_dataset(path, source_sha256=None):
     usable cores (see ``_range_count``), and a smaller one serially. The
     result, and any error, is the same either way. A caller that has
     hashed ``path`` passes its hex sha256 as ``source_sha256``, so that
-    the column file's source check does not hash it again.
+    the column file's source check does not hash it again. Otherwise a
+    file of at least _HASH_THREAD_MIN_BYTES is hashed on a helper thread
+    while the column file is read and checked, and the thread is joined
+    before the column file is used or refused: it never outlives the
+    call, and never keeps the file from the ranged parse. The JSON Lines
+    parse holds one ``read_blocks`` block of lines at a time.
     """
     columns = _load_columns(path, source_sha256)
     if columns is not None:
@@ -709,12 +817,15 @@ def _write_columns(path, header: DatasetHeader, splits, source: str) -> None:
         for block in blocks:
             yield np.ascontiguousarray(block, dtype="<f8")
 
+    # the line is encoded again to be written, so that it is not held while
+    # the columns are copied and hashed
     digest = hashlib.sha256(_json_line(fields).encode())
     for block in payload():
         digest.update(block)
     with atomic_open(f"{path}{_COLS_SUFFIX}", "wb") as fh:
         fh.write(_COLS_MAGIC)
-        fh.write(_json_line({**fields, "payload_sha256": digest.hexdigest()}).encode())
+        fh.write(memoryview(_json_line(fields).encode())[:-2])  # less its "}\n"
+        fh.write(_seal(digest.hexdigest()))
         fh.writelines(payload())
 
 
@@ -746,17 +857,19 @@ def write_dataset(path, header: DatasetHeader, *splits) -> str:
 
 
 def load_truth(path) -> dict:
-    """Sidecar parser: one "id<TAB>class_name" line per unlabeled record."""
+    """Sidecar parser: one "id<TAB>class_name" line per unlabeled record,
+    blank lines skipped, read a ``read_blocks`` block of lines at a time."""
     truth = {}
-    for lineno, line in read_lines(path):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[0]:
-            raise DataFormatError(f"{path}: line {lineno}: expected 'id<TAB>label'")
-        if parts[0] in truth:
-            raise DataFormatError(f"{path}: line {lineno}: duplicate id {parts[0]!r}")
-        truth[parts[0]] = parts[1]
+    for first, lines in read_blocks(path):
+        for lineno, line in enumerate(lines, first):
+            if not line:
+                continue
+            rid, tab, label = line.partition("\t")
+            if not rid or not tab or "\t" in label:
+                raise DataFormatError(f"{path}: line {lineno}: expected 'id<TAB>label'")
+            if rid in truth:
+                raise DataFormatError(f"{path}: line {lineno}: duplicate id {rid!r}")
+            truth[rid] = label
     return truth
 
 

@@ -385,14 +385,14 @@ def build_trainer(
     unlabeled = unlabeled_matrices(unlabeled_records)
     truth_arr = None
     if unlabeled_records and truth is not None:
+        # -1 for an id the sidecar lacks; the first unknown name in split
+        # order is the KeyError
         name_to_index = {n: i for i, n in enumerate(header.class_names)}
-        truth_arr = np.full(len(unlabeled_records), -1, dtype=np.int64)
-        for i, rid in enumerate(unlabeled_records.ids):
-            if rid in truth:
-                name = truth[rid]
-                if name not in name_to_index:
-                    raise DataFormatError(f"truth sidecar has unknown label {name!r}")
-                truth_arr[i] = name_to_index[name]
+        indices = (name_to_index[truth[rid]] if rid in truth else -1 for rid in unlabeled_records.ids)
+        try:
+            truth_arr = np.fromiter(indices, np.int64, len(unlabeled_records))
+        except KeyError as e:
+            raise DataFormatError(f"truth sidecar has unknown label {e.args[0]!r}") from None
     valid_X = valid_y = None
     if valid_records:
         valid_X, valid_y = labeled_matrix(valid_records)

@@ -1,4 +1,5 @@
-"""Out-of-place reference forms of the unlabeled views and the synthetic draw.
+"""Reference forms of the unlabeled views, the synthetic draw and the
+truth sidecar reader.
 
 ``qamatch.data`` builds an unlabeled batch's three views from the split's
 four columns one batch at a time, and derives a synthetic split's columns
@@ -6,12 +7,18 @@ in place in its draw. These are the same computations written the way
 they once ran, one whole-split matrix or temporary per operation, with
 the same operands in the same order; the tests assert that both give the
 same bytes.
+
+It reads text a block of lines at a time, the truth sidecar into one dict
+per block, and ``build_trainer`` maps truth names to class indices in one
+pass. ``read_lines``, ``load_truth`` and ``truth_indices`` are those jobs
+done one line or one id at a time, through ``io.TextIOWrapper``; the
+tests assert that both give the same values and the same errors.
 """
 
 import numpy as np
 
 from qamatch.data import Split
-from qamatch.errors import ParameterError
+from qamatch.errors import DataFormatError, ParameterError
 
 
 def hstacked_views(split):
@@ -48,3 +55,42 @@ def draw_split(cfg, rng, counts, prefix, augmented):
                 f"a drawn {key} vector is not finite; lower separation, noise_sigma or aug_sigma"
             )
     return split
+
+
+def read_lines(path):
+    """(lineno, line) for each line of a UTF-8 text file, one at a time."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def load_truth(path):
+    """``data.load_truth`` checked one line at a time."""
+    truth = {}
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0]:
+            raise DataFormatError(f"{path}: line {lineno}: expected 'id<TAB>label'")
+        if parts[0] in truth:
+            raise DataFormatError(f"{path}: line {lineno}: duplicate id {parts[0]!r}")
+        truth[parts[0]] = parts[1]
+    return truth
+
+
+def truth_indices(class_names, ids, truth):
+    """The class index of each id's truth name, -1 where ``truth`` has none,
+    as ``build_trainer`` gives it, one id at a time."""
+    name_to_index = {n: i for i, n in enumerate(class_names)}
+    indices = np.full(len(ids), -1, dtype=np.int64)
+    for i, rid in enumerate(ids):
+        if rid in truth:
+            name = truth[rid]
+            if name not in name_to_index:
+                raise DataFormatError(f"truth sidecar has unknown label {name!r}")
+            indices[i] = name_to_index[name]
+    return indices

@@ -321,8 +321,9 @@ def test_loader_splits_records_only_at_line_feeds(tmp_path):
 
 def assert_peak_memory_below_the_file_size(tmp_path, column_file=True):
     # the column file is read one column at a time into its array, and the
-    # JSON Lines parse holds one line at a time, so the peak follows the
-    # loaded columns; without ``column_file`` the JSON Lines parse runs
+    # JSON Lines parse holds one block of lines at a time, so the peak
+    # follows the loaded columns; without ``column_file`` the JSON Lines
+    # parse runs
     cfg = small_config(dim=8, unlabeled_counts=[1000, 1000, 1000])
     synth_generate(cfg, tmp_path)
     path = tmp_path / "train.jsonl"
@@ -473,12 +474,28 @@ COLUMN_FILE_EDITS = st.one_of(
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)),
     st.tuples(st.just("field"), st.sampled_from(sorted(STALE_EDITS)), st.just(False)),
     st.tuples(st.just("field"), st.sampled_from(sorted(INVALID_EDITS)), st.booleans()),
+    st.tuples(st.just("respace"), st.booleans()),
 )
+
+
+def respace_json_line(blob, seal):
+    """The column file with its JSON line's fields written with json.dumps'
+    default spacing, then the payload digest, written so too if ``seal``,
+    resealed over the canonical line, as a reader that re-encodes the
+    fields to hash them would check it."""
+    fields, payload = split_column_file(join_column_file(*split_column_file(blob), reseal=True))
+    digest = fields.pop("payload_sha256")
+    last = (", " + json.dumps({"payload_sha256": digest})[1:] if seal
+            else "," + data._json_line({"payload_sha256": digest})[1:-1])
+    line = json.dumps(fields)[:-1] + last + "\n"
+    return data._COLS_MAGIC + line.encode() + payload
 
 
 def edit_column_file(blob, edits):
     for kind, *args in edits:
-        if kind == "flip":
+        if kind == "respace":
+            blob = respace_json_line(blob, *args) if split_column_file(blob) is not None else blob
+        elif kind == "flip":
             blob = bytearray(blob)
             blob[args[0] % len(blob)] ^= args[1]
             blob = bytes(blob)
@@ -537,15 +554,36 @@ def test_mutated_column_file_loads_and_trains_as_the_json_lines_do(tmp_path, cap
     assert outcomes == {False, True}
 
 
-@pytest.mark.parametrize("name", sorted(STALE_EDITS) + sorted(INVALID_EDITS))
+def test_column_file_json_line_is_sealed_as_json_writes_it(tmp_path):
+    synth_generate(small_config(), tmp_path)
+    cols = tmp_path / "train.jsonl.cols"
+    fields, _ = split_column_file(cols.read_bytes())
+    digest = fields.pop("payload_sha256")
+    line = data._json_line(fields).encode()
+    sealed = line[:-2] + data._seal(digest)
+    assert sealed == data._json_line({**fields, "payload_sha256": digest}).encode()
+    assert cols.read_bytes().startswith(data._COLS_MAGIC + sealed)
+
+
+RESPACED = {"respaced_fields": False, "respaced_json_line": True}
+
+
+@pytest.mark.parametrize("name", sorted(STALE_EDITS) + sorted(INVALID_EDITS) + sorted(RESPACED))
 def test_each_column_file_edit_is_refused(tmp_path, name):
     synth_generate(small_config(), tmp_path)
     path = tmp_path / "train.jsonl"
     expected = load_from_json_lines(path)
     cols = tmp_path / "train.jsonl.cols"
     blob = cols.read_bytes()
-    for reseal in [False, True] if name in INVALID_EDITS else [False]:
-        edited = edit_column_file(blob, [("field", name, reseal)])
+    if name in RESPACED:
+        # the same fields and columns: only the digest of the line as read,
+        # or its last member, refuses it
+        edits = [[("respace", RESPACED[name])]]
+        assert split_column_file(edit_column_file(blob, edits[0])) == split_column_file(blob)
+    else:
+        edits = [[("field", name, reseal)] for reseal in ([False, True] if name in INVALID_EDITS else [False])]
+    for edit in edits:
+        edited = edit_column_file(blob, edit)
         assert edited != blob
         cols.write_bytes(edited)
         assert data._load_columns(path) is None
@@ -665,6 +703,113 @@ def assert_same_splits(expected, actual):
             assert (x is None) == (y is None), key
             if x is not None:
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), key
+
+
+def big_train_file(tmp_path):
+    """A generated train file whose column file's source check hashes it on
+    a helper thread, and which is parsed in ranges without one."""
+    synth_generate(small_config(dim=8, unlabeled_counts=[1500, 1500, 1500]), tmp_path)
+    path = tmp_path / "train.jsonl"
+    assert os.path.getsize(path) >= max(data._HASH_THREAD_MIN_BYTES, 2 * data._RANGE_MIN_BYTES)
+    return path
+
+
+def slow_helper_hash(monkeypatch, fail=False):
+    """Make ``data.sha256_file`` wait 0.2 s off the main thread, so that a
+    helper thread left unjoined is still alive when the loader returns, and
+    then raise OSError if ``fail``. Returns the names of the threads it ran
+    on."""
+    names = []
+    real = data.sha256_file
+
+    def sha256_file(path):
+        if threading.current_thread() is not threading.main_thread():
+            names.append(threading.current_thread().name)
+            time.sleep(0.2)
+            if fail:
+                raise PermissionError(13, "Permission denied", str(path))
+        return real(path)
+
+    monkeypatch.setattr(data, "sha256_file", sha256_file)
+    return names
+
+
+def counted_ranges(monkeypatch):
+    """Spy on ``data._range_count``; returns the list of the thread counts
+    it saw."""
+    seen = []
+    real = data._range_count
+    monkeypatch.setattr(data, "_range_count", lambda nbytes: seen.append(threading.active_count()) or real(nbytes))
+    return seen
+
+
+def damage_payload(path):
+    cols = f"{path}.cols"
+    blob = bytearray(open(cols, "rb").read())
+    blob[-1] ^= 1
+    open(cols, "wb").write(blob)
+
+
+def cut_column_file(path, size):
+    with open(f"{path}.cols", "r+b") as fh:
+        fh.truncate(size)
+
+
+COLUMN_FILE_STATES = {
+    "current": lambda path: None,
+    "stale": lambda path: open(path, "a").write("\n"),
+    "damaged": damage_payload,
+    "cut-json-line": lambda path: cut_column_file(path, len(data._COLS_MAGIC) + 10),
+    "cut-columns": lambda path: cut_column_file(path, os.path.getsize(f"{path}.cols") - 8),
+    "missing": lambda path: os.remove(f"{path}.cols"),
+    "unreadable": lambda path: None,  # the hashing thread's read raises OSError
+}
+
+
+@pytest.mark.parametrize("state", sorted(COLUMN_FILE_STATES))
+def test_loader_joins_its_hashing_thread_whatever_the_column_file(tmp_path, monkeypatch, state):
+    path = big_train_file(tmp_path)
+    COLUMN_FILE_STATES[state](path)
+    expected = load_from_json_lines(path) if os.path.exists(f"{path}.cols") else load_dataset(path)
+    threads = threading.active_count()
+    names = slow_helper_hash(monkeypatch, fail=state == "unreadable")
+    counts = counted_ranges(monkeypatch)
+    used = spy_on(monkeypatch, "_load_columns")
+    header, *splits = load_dataset(path)
+    assert threading.active_count() == threads
+    assert names == ([] if state == "missing" else ["qamatch-sha256"])
+    assert (used[0] is not None) == (state == "current")
+    assert counts == ([] if state == "current" else [threads])
+    assert header == expected[0]
+    assert_same_splits(expected[1:], splits)
+
+
+def test_loader_hashes_small_files_and_given_digests_on_its_own_thread(tmp_path, monkeypatch):
+    synth_generate(small_config(), tmp_path)
+    names = slow_helper_hash(monkeypatch)
+    for name in ("train.jsonl", "valid.jsonl", "test.jsonl"):
+        assert data._load_columns(tmp_path / name) is not None
+    (tmp_path / "big").mkdir()
+    big = big_train_file(tmp_path / "big")
+    assert data._load_columns(big, data.sha256_file(big)) is not None
+    assert names == []
+
+
+@needs_fork
+def test_loader_parses_beside_a_stale_column_file_in_ranges(tmp_path, monkeypatch):
+    path = big_train_file(tmp_path)
+    COLUMN_FILE_STATES["stale"](path)
+    expected = load_from_json_lines(path)
+    names = slow_helper_hash(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    runs = spy_on(monkeypatch, "_parse_in_ranges")
+    forks = count_forks(monkeypatch)
+    header, *splits = load_dataset(path)
+    assert names == ["qamatch-sha256"]
+    assert runs[0] is not None and len(forks) == 2
+    assert header == expected[0]
+    assert_same_splits(expected[1:], splits)
+    assert_no_child_left()
 
 
 ODD_ID_SUFFIX = "\u2028\x85"
@@ -1496,3 +1641,131 @@ def test_load_truth_validation(tmp_path):
     dup.write_text("a\tyes\na\tno\n")
     with pytest.raises(DataFormatError):
         load_truth(dup)
+
+
+def block_lines(n, start=0):
+    return [f"unl-{i:05d}\t{('yes', 'no', 'maybe')[i % 3]}" for i in range(start, start + n)]
+
+
+def boundary_duplicate(tmp_path, copied):
+    """A sidecar whose first default block ends with line k, and whose line
+    k + 1 repeats the id of line ``copied`` (1 or k), on the other side of
+    that block boundary."""
+    path = tmp_path / "probe.tsv"
+    lines = block_lines(5000)
+    path.write_text("".join(line + "\n" for line in lines))
+    k = len(next(data.read_blocks(path))[1])
+    assert k < len(lines)
+    lines[k] = lines[0 if copied == 1 else k - 1]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# (name, sidecar bytes); tmp_path is for the sidecars built from a probe
+SIDECARS = [
+    ("lf", lambda _: "".join(line + "\n" for line in block_lines(50)).encode()),
+    ("crlf", lambda _: "".join(line + "\r\n" for line in block_lines(50)).encode()),
+    ("cr", lambda _: "".join(line + "\r" for line in block_lines(50)).encode()),
+    ("blank-lines", lambda _: ("\n" + "\n\r\n\r".join(block_lines(50)) + "\n\n").encode()),
+    ("no-final-newline", lambda _: "\n".join(block_lines(50)).encode()),
+    ("empty", lambda _: b""),
+    ("missing-tab", lambda _: ("\n".join(block_lines(20)) + "\nunl-x yes\n" + "\n".join(block_lines(5, 20))).encode()),
+    ("two-tabs", lambda _: ("\n".join(block_lines(20)) + "\nunl-x\tyes\tno\n").encode()),
+    ("tab-only", lambda _: b"a\tyes\n\t\n"),
+    ("empty-id", lambda _: ("\n".join(block_lines(20)) + "\n\tyes\n").encode()),
+    ("empty-label", lambda _: b"a\t\nb\tno\n"),
+    ("duplicate-id", lambda _: ("\n".join(block_lines(20) + block_lines(1, 7)) + "\n").encode()),
+    ("duplicate-id-across-a-block-boundary", lambda tmp_path: boundary_duplicate(tmp_path, copied="k")),
+    ("duplicate-of-line-1-after-a-block-boundary", lambda tmp_path: boundary_duplicate(tmp_path, copied=1)),
+    ("line-longer-than-a-block", lambda _: ("a\tyes\n" + "b" * 70000 + "\tno\r\nc\tmaybe").encode()),
+    ("unicode-ids", lambda _: "a\u2028b\tyes\nc\x85d\tno\né\tmaybe\n".encode()),
+    ("not-utf8", lambda _: "\n".join(block_lines(20)).encode() + b"\nunl-\xff\tyes\n"),
+    ("cut-utf8", lambda _: "a\tyes\né\tno".encode()[:-4]),
+]
+
+
+def oracle_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataFormatError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, data._BLOCK_BYTES])
+@pytest.mark.parametrize("name,sidecar", SIDECARS, ids=[name for name, _ in SIDECARS])
+def test_block_readers_match_the_line_at_a_time_readers(tmp_path, monkeypatch, name, sidecar, block_bytes):
+    path = tmp_path / "truth.tsv"
+    path.write_bytes(sidecar(tmp_path))
+    expected_lines = oracle_outcome(lambda: list(data_oracle.read_lines(path)))
+    expected_truth = oracle_outcome(data_oracle.load_truth, path)
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    assert oracle_outcome(lambda: list(data.read_lines(path))) == expected_lines
+    assert oracle_outcome(load_truth, path) == expected_truth
+
+
+def lines_then_error(lines):
+    """The items ``lines`` yields, and the text of the DataFormatError it
+    then raises, or None."""
+    got = []
+    try:
+        got.extend(lines)
+    except DataFormatError as e:
+        return got, str(e)
+    return got, None
+
+
+def lines_to(size, first=b""):
+    """``first`` and then valid sidecar lines, ``size`` bytes in all, which
+    end with a line feed."""
+    out = first
+    while len(out) < size - 20:
+        out += f"unl-{len(out):05d}\tyes\n".encode()
+    return out + b"z" * (size - len(out) - 4) + b"\tno\n"
+
+
+# undecodable bytes around the 8 KiB pieces a text file is decoded in
+UNDECODABLE = {
+    "bad-line-in-the-same-8-KiB": b"a\tyes\nb no\nc\t\xffno\n",
+    "bad-line-in-an-earlier-8-KiB": lines_to(8192, b"a\tyes\nb no\n") + b"c\t\xffno\n",
+    "bad-line-a-block-earlier": lines_to(65536 + 8192, b"b no\n") + b"\xff\n",
+    "bad-line-in-the-same-8-KiB-past-a-block": lines_to(65536 + 100) + b"b no\n\xff\n",
+    "lf-ends-the-8-KiB": lines_to(8187) + b"x\tno\ny\t\xff\n",
+    "cr-ends-the-8-KiB": lines_to(8187) + b"x\tno\ry\t\xff\n",
+    "crlf-across-the-8-KiB": lines_to(8187) + b"x\tno\r\ny\t\xff\n",
+    "lead-byte-ends-the-8-KiB": lines_to(8189) + b"x\t\xc3A\n",
+    "continuation-ends-the-8-KiB": lines_to(8190) + b"\xe2\x82x\n",
+    "character-across-the-8-KiB": lines_to(8191) + "é\tyes\n".encode() + b"b\t\x80\n",
+    "cut-at-the-end": lines_to(8192) + b"x\t\xe2\x82",
+    "cut-at-the-end-of-the-8-KiB": lines_to(8190) + b"x\xe2",
+}
+
+
+@pytest.mark.parametrize("block_bytes", [8192, data._BLOCK_BYTES])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_block_reader_raises_undecodable_bytes_where_the_line_reader_does(tmp_path, monkeypatch, name, block_bytes):
+    # the lines it yields first, and so which error a parse meets first
+    path = tmp_path / "truth.tsv"
+    path.write_bytes(UNDECODABLE[name])
+    expected = lines_then_error(data_oracle.read_lines(path))
+    assert expected[1] is not None
+    monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+    assert lines_then_error(data.read_lines(path)) == expected
+    assert oracle_outcome(load_truth, path) == oracle_outcome(data_oracle.load_truth, path)
+
+
+TEXT_BYTES = [b"a", b"\t", b"\n", b"\r", b"\r\n", "é".encode(), "€".encode(), b"x" * 2000,
+              b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+def test_block_reader_yields_and_raises_what_the_line_reader_does(tmp_path):
+    path = tmp_path / "text.bin"
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(TEXT_BYTES), max_size=40), st.sampled_from([8192, 16384, data._BLOCK_BYTES]))
+    def read(parts, block_bytes):
+        path.write_bytes(b"".join(parts))
+        expected = lines_then_error(data_oracle.read_lines(path))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_BLOCK_BYTES", block_bytes)
+            assert lines_then_error(data.read_lines(path)) == expected
+
+    read()

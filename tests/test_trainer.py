@@ -558,6 +558,23 @@ def test_build_trainer_rejects_unknown_truth_label(task_dir):
     truth = {unlabeled.ids[0]: "nonexistent-class"}
     with pytest.raises(DataFormatError, match="unknown label"):
         build_trainer(base_config(), header, labeled, unlabeled, None, None, truth)
+    # with two unknown labels, the first in split order is named
+    truth = {unlabeled.ids[5]: "second", unlabeled.ids[2]: "first"}
+    with pytest.raises(DataFormatError) as err:
+        build_trainer(base_config(), header, labeled, unlabeled, None, None, truth)
+    assert str(err.value) == "truth sidecar has unknown label 'first'"
+    with pytest.raises(DataFormatError) as oracle:
+        data_oracle.truth_indices(header.class_names, unlabeled.ids, truth)
+    assert str(oracle.value) == str(err.value)
+    # an id missing from the sidecar maps to -1; an unknown label on an id
+    # outside the split is ignored
+    names = header.class_names
+    truth = {"not-in-split": "nonexistent-class",
+             **{rid: names[i % len(names)] for i, rid in enumerate(unlabeled.ids) if i % 4}}
+    t = build_trainer(base_config(), header, labeled, unlabeled, None, None, truth)
+    expected = data_oracle.truth_indices(names, unlabeled.ids, truth)
+    assert t.unl_truth.dtype == expected.dtype and t.unl_truth.tolist() == expected.tolist()
+    assert t.unl_truth[0] == -1 and t.unl_truth[1] == 1 % len(names)
 
 
 def test_build_trainer_rejects_disagreeing_validation_header(task_dir):
