@@ -44,8 +44,12 @@ dataset file's digest is the caller's where it passes one; otherwise a
 file of 2 MiB or more is hashed on a helper thread while the column file
 is read and checked, and a smaller one first.
 
-Text files are read a block of about 64 KiB of whole lines at a time
-(``read_blocks``), so a reader holds one block of lines, not the file.
+``write_dataset`` writes a dataset file in one pass and hashes its bytes
+as it writes them; ``orjson`` encodes each record line that it spells as
+``json.dumps`` does. The reader keeps ``json``, on which its messages,
+line numbers, NaN and huge-integer handling depend, and reads text files
+a block of about 64 KiB of whole lines at a time (``read_blocks``), so it
+holds one block of lines, not the file.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ import logging
 import marshal
 import math
 import os
-import shutil
 import signal
 import threading
 from array import array
@@ -66,6 +69,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import DataFormatError, ParameterError
 
@@ -76,10 +80,9 @@ HEADER_KEYS = ("dim", "class_names", "labeled_counts")
 RECORD_KEYS = ("id", "label", "q", "c", "q_aug", "c_aug")
 # the types json.loads gives JSON numbers; float() would also take str and bool
 _JSON_NUMBERS = frozenset((int, float))
-# A file is parsed or written in byte ranges of at least this size, one per
-# usable core: a fork and reap of a 60 MB process costs about 2 ms, against
-# about 22 ms to parse 512 KiB and about 35 ms to encode it, so a file
-# under 1 MiB stays serial.
+# A file is parsed in byte ranges of at least this size, one per usable
+# core: a fork and reap of a 60 MB process costs about 2 ms, against about
+# 22 ms to parse 512 KiB, so a file under 1 MiB stays serial.
 _RANGE_MIN_BYTES = 1 << 19
 # A text reader reads this many bytes of lines at a time, a multiple of the
 # _DECODE_BYTES at a time io.TextIOWrapper decodes, so that undecodable
@@ -97,6 +100,11 @@ _COLS_KEYS = HEADER_KEYS + ("labeled_ids", "labels", "unlabeled_ids", "source_sh
 # below about 1.5 MB the thread's start and its hand-offs of the GIL cost
 # more than the overlap saves (and 0.3 ms more on a 180 KB test file).
 _HASH_THREAD_MIN_BYTES = 1 << 21
+# write_dataset encodes records of about this many vector entries (90 KB
+# of lines) at a time; 4x as many took 0.5 MiB more of a benchmark
+# process's peak and no less time
+_WRITE_BLOCK_ENTRIES = 1 << 12
+_ORJSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -393,10 +401,10 @@ def _parse_records(path, header: DatasetHeader, lines):
 
 
 def _range_count(nbytes: int) -> int:
-    """How many ranges ``nbytes`` of file are parsed or written in at once:
-    one per usable core, each of at least _RANGE_MIN_BYTES. Only a process
-    with no other thread may fork, so with one alive this is 1, as it is
-    where the platform has no fork."""
+    """How many ranges ``nbytes`` of file are parsed in at once: one per
+    usable core, each of at least _RANGE_MIN_BYTES. Only a process with no
+    other thread may fork, so with one alive this is 1, as it is where the
+    platform has no fork."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), nbytes // _RANGE_MIN_BYTES))
@@ -691,78 +699,69 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _record_lines(header: DatasetHeader, splits, start: int, stop: int):
-    """The file line of each record ``start`` <= i < ``stop`` of ``splits``
-    taken in order. A non-finite vector entry is a DataFormatError."""
-    for split in splits:
-        for i in range(max(start, 0), min(stop, len(split))):
-            obj = {
-                "id": split.ids[i],
-                "label": UNLABELED_SENTINEL
-                if split.labels is None
-                else header.class_names[split.labels[i]],
-                "q": split.q[i].tolist(),
-                "c": split.c[i].tolist(),
-            }
-            if split.q_aug is not None:
-                obj["q_aug"] = split.q_aug[i].tolist()
-                obj["c_aug"] = split.c_aug[i].tolist()
-            try:
-                line = _json_line(obj)
-            except ValueError:  # JSON has no NaN or Infinity
-                raise DataFormatError(f"record {split.ids[i]!r}: a vector entry is not finite") from None
-            yield line
-        start -= len(split)
-        stop -= len(split)
+def _vector_keys(split: Split):
+    """The vector keys a record of ``split`` is written with."""
+    return RECORD_KEYS[2 : 4 if split.q_aug is None else 6]
 
 
-def _record_cuts(header: DatasetHeader, splits) -> list:
-    """Indices 0 < ... < n that cut the n records of ``splits``, taken in
-    order, into up to ``_range_count`` ranges of about equal output size,
-    each cut before the first record that starts at or past its share. A
-    record's size is taken to be that of its split's first record."""
-    spans = []  # per non-empty split: (records, output ahead of it, record size)
-    total = 0
+def _record_line(header: DatasetHeader, split: Split, i: int) -> str:
+    """The file line of record ``i`` of ``split`` through ``json.dumps``. A
+    non-finite vector entry is a DataFormatError."""
+    obj = {"id": split.ids[i],
+           "label": UNLABELED_SENTINEL if split.labels is None else header.class_names[split.labels[i]]}
+    for key in _vector_keys(split):
+        obj[key] = getattr(split, key)[i].tolist()
     try:
-        for split in filter(len, splits):
-            size = len(next(_record_lines(header, [split], 0, 1)))
-            spans.append((len(split), total, size))
-            total += size * len(split)
-    except Exception:
-        # a record that cannot be written: the serial write reports the first
-        return []
-    ranges = _range_count(total)
-    cuts = {0, sum(span[0] for span in spans)}
-    for k in range(1, ranges):
-        # the records that start before k / ranges of the output
-        cuts.add(sum(min(m, max(0, -((ahead * ranges - k * total) // (size * ranges))))
-                     for m, ahead, size in spans))
-    return sorted(cuts)
+        return _json_line(obj)
+    except ValueError:  # JSON has no NaN or Infinity
+        raise DataFormatError(f"record {split.ids[i]!r}: a vector entry is not finite") from None
 
 
-def _write_in_ranges(fh, header: DatasetHeader, splits, cuts) -> bool:
-    """Write the header and the records of ``splits``, cut at ``cuts``, to
-    the empty text file ``fh``: a forked child writes each range but the
-    first to its pipe as UTF-8 text, while this process writes the header
-    and the first range itself; the children's text then follows in range
-    order. False when anything failed, with ``fh`` holding a part of the
-    file."""
+def _plain_texts(texts) -> np.ndarray:
+    """A bool per item of ``texts``: whether it is a str of printable ASCII,
+    which ``json.dumps`` and ``orjson.dumps`` spell alike (``json`` writes
+    any other character as ``\\uXXXX``, ``orjson`` DEL and non-ASCII raw)."""
+    return np.fromiter((type(t) is str and t.isascii() and t.isprintable() for t in texts), bool, len(texts))
 
-    def encode(start, stop):
-        def job(out):
-            out.write("".join(_record_lines(header, splits, start, stop)).encode("utf-8"))
 
-        return job
-
-    def first_range(readers):
-        fh.write(_json_line(asdict(header)))
-        fh.writelines(_record_lines(header, splits, cuts[0], cuts[1]))
-        fh.flush()
-        for src in readers:
-            shutil.copyfileobj(src, fh.buffer)
-        return True
-
-    return _in_children([encode(a, b) for a, b in zip(cuts[1:], cuts[2:])], first_range) is not None
+def _record_blocks(header: DatasetHeader, split: Split):
+    """The file lines of the records of ``split`` in order, one bytearray
+    per block of about _WRITE_BLOCK_ENTRIES vector entries. A record is
+    ``orjson.dumps`` of its row views where that gives the bytes of
+    ``_record_line``: each column is a native float64 ndarray with rows of
+    unit stride, the labels an integer ndarray, the id and label are
+    ``_plain_texts``, and each vector entry is zero or of a magnitude in
+    [1e-4, 1e16) (outside it ``orjson`` prints 0.00005 and 1e16 where
+    ``json`` prints 5e-05 and 1e+16). Every other record goes through
+    ``_record_line``, which raises the error of one that cannot be written."""
+    keys = _vector_keys(split)
+    columns = [getattr(split, key) for key in keys]
+    n, labels, names = len(split), split.labels, header.class_names
+    fast = np.zeros(n, dtype=bool)
+    if all(type(col) is np.ndarray and col.dtype == np.float64 and col.ndim == 2
+           and col.strides[1] == col.itemsize and len(col) >= n for col in columns) and (labels is None or (
+            type(labels) is np.ndarray and labels.dtype.kind in "iu" and labels.ndim == 1 and len(labels) >= n)):
+        # each record's label, None for an index past the class names
+        texts = [UNLABELED_SENTINEL] * n if labels is None else [
+            names[k] if 0 <= k < len(names) else None for k in labels[:n].tolist()]
+        fast = _plain_texts(split.ids) & _plain_texts(texts)
+    step = max(1, _WRITE_BLOCK_ENTRIES // (header.dim * len(columns)))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = fast[start:stop]
+        for col in columns if block.any() else ():
+            size = np.abs(col[start:stop])
+            block &= (((size >= 1e-4) & (size < 1e16)) | (size == 0)).all(axis=1)
+        lines = bytearray()
+        for i, plain in enumerate(block.tolist(), start):
+            if plain:
+                record = {"id": split.ids[i], "label": texts[i]}
+                for key, col in zip(keys, columns):
+                    record[key] = col[i]
+                lines += orjson.dumps(record, option=_ORJSON_OPTIONS)
+            else:
+                lines += _record_line(header, split, i).encode()
+        yield lines
 
 
 def _loaded_columns(header: DatasetHeader, splits):
@@ -830,13 +829,12 @@ def _write_columns(path, header: DatasetHeader, splits, source: str) -> None:
 
 
 def write_dataset(path, header: DatasetHeader, *splits) -> str:
-    """Emit header + every split's records in order; floats round-trip
-    exactly through JSON, and a non-finite one is a DataFormatError.
-    Returns the sha256 of the file.
-
-    Records of at least two _RANGE_MIN_BYTES of output are encoded in
-    contiguous ranges on the usable cores (see ``_range_count``); the file,
-    and any error, is the same as from the serial write.
+    """Emit header + every split's records in order, in one pass; floats
+    round-trip exactly through JSON, and a non-finite one is a
+    DataFormatError naming the first such record. Returns the sha256 of
+    the file, taken over the bytes as they are written. Each line, and
+    any error, is the one ``json.dumps`` gives, whether ``_record_blocks``
+    encodes it with ``orjson`` or not.
 
     The binary column file ``<path>.cols`` (see the module docstring) is
     then written beside it, where ``_loaded_columns`` shows what the
@@ -844,22 +842,20 @@ def write_dataset(path, header: DatasetHeader, *splits) -> str:
     gives them. A column file left from an earlier write names the old
     bytes' digest, so the loader ignores it.
     """
-    cuts = _record_cuts(header, splits)
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        if len(cuts) < 3 or not _write_in_ranges(fh, header, splits, cuts):
-            fh.seek(0)
-            fh.truncate()  # drop what a failed ranged write left
-            fh.write(_json_line(asdict(header)))
-            fh.writelines(_record_lines(header, splits, 0, sum(map(len, splits))))
-    source = sha256_file(path)
-    _write_columns(path, header, splits, source)
-    return source
+    digest = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+        for block in chain([_json_line(asdict(header)).encode()], *(_record_blocks(header, s) for s in splits)):
+            fh.write(block)
+            digest.update(block)
+    _write_columns(path, header, splits, digest.hexdigest())
+    return digest.hexdigest()
 
 
 def load_truth(path) -> dict:
     """Sidecar parser: one "id<TAB>class_name" line per unlabeled record,
-    blank lines skipped, read a ``read_blocks`` block of lines at a time."""
-    truth = {}
+    blank lines skipped, read a ``read_blocks`` block of lines at a time.
+    The values are one str object per distinct label."""
+    truth, labels = {}, {}
     for first, lines in read_blocks(path):
         for lineno, line in enumerate(lines, first):
             if not line:
@@ -869,7 +865,7 @@ def load_truth(path) -> dict:
                 raise DataFormatError(f"{path}: line {lineno}: expected 'id<TAB>label'")
             if rid in truth:
                 raise DataFormatError(f"{path}: line {lineno}: duplicate id {rid!r}")
-            truth[rid] = label
+            truth[rid] = labels.setdefault(label, label)
     return truth
 
 

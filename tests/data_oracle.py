@@ -8,6 +8,11 @@ they once ran, one whole-split matrix or temporary per operation, with
 the same operands in the same order; the tests assert that both give the
 same bytes.
 
+``write_dataset`` encodes a record with ``orjson`` wherever that gives
+the bytes ``json.dumps`` would. ``json_lines`` is the file written with
+``json.dumps`` alone, one record at a time; the tests assert that both
+give the same bytes and the same errors.
+
 It reads text a block of lines at a time, the truth sidecar into one dict
 per block, and ``build_trainer`` maps truth names to class indices in one
 pass. ``read_lines``, ``load_truth`` and ``truth_indices`` are those jobs
@@ -15,9 +20,12 @@ done one line or one id at a time, through ``io.TextIOWrapper``; the
 tests assert that both give the same values and the same errors.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
-from qamatch.data import Split
+from qamatch.data import UNLABELED_SENTINEL, Split
 from qamatch.errors import DataFormatError, ParameterError
 
 
@@ -55,6 +63,28 @@ def draw_split(cfg, rng, counts, prefix, augmented):
                 f"a drawn {key} vector is not finite; lower separation, noise_sigma or aug_sigma"
             )
     return split
+
+
+def json_lines(header, *splits) -> bytes:
+    """The dataset file ``write_dataset`` writes from ``splits``: the header,
+    then one ``json.dumps`` line per record, in order. A non-finite vector
+    entry is the DataFormatError that ``write_dataset`` raises."""
+
+    def line(obj):
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+
+    lines = [line(asdict(header))]
+    for split in splits:
+        for i in range(len(split)):
+            label = UNLABELED_SENTINEL if split.labels is None else header.class_names[split.labels[i]]
+            record = {"id": split.ids[i], "label": label, "q": split.q[i].tolist(), "c": split.c[i].tolist()}
+            if split.q_aug is not None:
+                record.update(q_aug=split.q_aug[i].tolist(), c_aug=split.c_aug[i].tolist())
+            try:
+                lines.append(line(record))
+            except ValueError:
+                raise DataFormatError(f"record {split.ids[i]!r}: a vector entry is not finite") from None
+    return "".join(lines).encode()
 
 
 def read_lines(path):

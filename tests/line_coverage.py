@@ -5,10 +5,9 @@
 Runs ``pytest -m "not slow"`` in this process under ``sys.settrace`` (no
 coverage package needed) and prints ``file:line`` and the source of every
 statement no test reached, docstrings excluded. Lines that run only in the
-forked children of the loader and of the writer (the child half of
-``data._fork`` and the jobs it runs) are traced in the child and lost with
-it, so they show as unreached: 15 of the 21 statements it lists. Exits with
-pytest's status.
+forked children of the loader (the child half of ``data._fork`` and the
+jobs it runs) are traced in the child and lost with it, so they show as
+unreached: 14 of the 20 statements it lists. Exits with pytest's status.
 """
 
 import ast

@@ -1093,12 +1093,11 @@ def test_loader_gives_a_data_error_or_the_same_result_on_hostile_files(tmp_path)
 
 
 # ---------------------------------------------------------------------------
-# writing in record ranges
+# writing
 
 
 def drawn_splits(unlabeled_counts=(40, 20, 10)):
-    """A generated train file's header, labeled and unlabeled splits, and
-    its bytes as the serial write gives them."""
+    """A generated train file's header, labeled and unlabeled splits."""
     cfg = small_config(dim=3, unlabeled_counts=list(unlabeled_counts))
     rng = np.random.default_rng(cfg.seed)
     labeled = data._draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False)
@@ -1108,187 +1107,16 @@ def drawn_splits(unlabeled_counts=(40, 20, 10)):
     return header, labeled, unlabeled
 
 
-def serial_bytes(tmp_path, header, *splits):
-    path = tmp_path / "serial.jsonl"
-    write_dataset(path, header, *splits)
-    return path.read_bytes()
-
-
-def constant_split(prefix, n, labeled):
-    """``n`` records whose lines all have the same length."""
-    ids = [f"{prefix}{i:03d}" for i in range(n)]
-    q, c = np.full((n, 2), 0.5), np.full((n, 2), 0.25)
-    if labeled:
-        return Split(ids, np.arange(n, dtype=np.int64) % 2, q, c)
-    return Split(ids, None, q, c, q_aug=q + 0.25, c_aug=c + 0.25)
-
-
-def assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores):
-    """Write ``splits`` in ranges as on ``cores`` cores; the file must be
-    the serial write's, from ``cores`` - 1 forked children, none left."""
-    expected = serial_bytes(tmp_path, header, *splits)
-    ranges_everywhere(monkeypatch, cores)
-    runs = spy_on(monkeypatch, "_write_in_ranges")
-    forks = count_forks(monkeypatch)
-    path = tmp_path / "ranged.jsonl"
-    write_dataset(path, header, *splits)
-    assert runs == [True] and len(forks) == cores - 1
-    assert path.read_bytes() == expected
-    assert not os.path.exists(f"{path}.partial")
-    assert_no_child_left()
-    return path
-
-
-@needs_fork
-@pytest.mark.parametrize("cores", [2, 3, 4])
-def test_write_in_ranges_matches_the_serial_write(tmp_path, monkeypatch, cores):
-    header, *splits = drawn_splits()
-    ranges_everywhere(monkeypatch, cores)
-    cuts = data._record_cuts(header, splits)
-    n = len(splits[0]) + len(splits[1])
-    assert len(cuts) == cores + 1 and cuts == sorted(set(cuts)) and cuts[0] == 0 and cuts[-1] == n
-    # the ranges, read across the split boundary, hold every record once and in order
-    ranged = ["".join(data._record_lines(header, splits, a, b)) for a, b in zip(cuts, cuts[1:])]
-    assert "".join(ranged) == "".join(data._record_lines(header, splits, 0, n))
-    monkeypatch.undo()
-    path = assert_written_in_ranges(tmp_path, monkeypatch, header, splits, cores)
-    assert_same_splits(splits, load_from_json_lines(path)[1:])
-
-
-@needs_fork
-def test_write_in_ranges_cuts_on_the_labeled_unlabeled_boundary(tmp_path, monkeypatch):
-    header = DatasetHeader(2, ["yes", "no"], [0, 0])
-    sizes = [len(next(data._record_lines(header, [constant_split("x", 1, kind)], 0, 1)))
-             for kind in (True, False)]
-    g = math.gcd(*sizes)
-    # both splits hold the same number of bytes, so the one cut of two
-    # ranges falls between them
-    labeled = constant_split("l", sizes[1] // g, labeled=True)
-    unlabeled = constant_split("u", sizes[0] // g, labeled=False)
-    header.labeled_counts = np.bincount(labeled.labels, minlength=2).tolist()
-    ranges_everywhere(monkeypatch, 2)
-    assert data._record_cuts(header, [labeled, unlabeled]) == [0, len(labeled), len(labeled) + len(unlabeled)]
-    monkeypatch.undo()
-    path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, unlabeled], 2)
-    assert_same_splits([labeled, unlabeled], load_from_json_lines(path)[1:])
-
-
-@needs_fork
-def test_write_in_ranges_with_no_unlabeled_records(tmp_path, monkeypatch):
-    header, labeled, _ = drawn_splits()
-    empty = Split([], None, np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)))
-    path = assert_written_in_ranges(tmp_path, monkeypatch, header, [labeled, empty], 3)
-    assert_same_splits([labeled, empty], load_from_json_lines(path)[1:])
-
-
-def in_children(monkeypatch, wrap):
-    """Run ``data._record_lines``'s lines through ``wrap`` in forked children
-    only."""
-    parent = os.getpid()
-    real = data._record_lines
-
-    def lines(*args):
-        return real(*args) if os.getpid() == parent else wrap(real(*args))
-
-    monkeypatch.setattr(data, "_record_lines", lines)
-
-
-def raise_after(lines, n):
-    for i, item in enumerate(lines):
-        if i == n:
-            raise RuntimeError("a range child fails")
-        yield item
-
-
-@needs_fork
-@pytest.mark.parametrize("how", [kill_after, raise_after], ids=["sigkill", "raise"])
-def test_write_in_ranges_falls_back_to_the_serial_write_when_a_child_fails(tmp_path, monkeypatch, how):
-    # a child that raises must not run the parent's cleanup, which would
-    # remove <path>.partial under the parent and fail its final rename
-    header, *splits = drawn_splits()
-    expected = serial_bytes(tmp_path, header, *splits)
-    ranges_everywhere(monkeypatch, 3)
-    runs = spy_on(monkeypatch, "_write_in_ranges")
-    forks = count_forks(monkeypatch)
-    in_children(monkeypatch, lambda lines: how(lines, 5))
-    path = tmp_path / "ranged.jsonl"
-    write_dataset(path, header, *splits)
-    assert runs == [False] and len(forks) == 2
-    assert path.read_bytes() == expected
-    assert not os.path.exists(f"{path}.partial")
-    assert_no_child_left()
-
-
-def break_last_label(labeled, unlabeled):
-    labeled.labels[-1] = 3  # past class_names, in the last range
-    return unlabeled, labeled
-
-
-def break_two_records(labeled, unlabeled):
-    # the last labeled record is written first, the first unlabeled one is
-    # measured first
-    labeled.q = labeled.q[:-1]
-    unlabeled.q_aug = unlabeled.q_aug[:0]
-    return labeled, unlabeled
-
-
-@needs_fork
-@pytest.mark.parametrize("corrupt,ranged_runs", [(break_last_label, [False]), (break_two_records, [])],
-                         ids=["in-a-child", "in-the-size-estimate"])
-def test_write_in_ranges_raises_what_the_serial_write_does(tmp_path, monkeypatch, corrupt, ranged_runs):
-    header, *splits = drawn_splits()
-    splits = corrupt(*splits)
-    with pytest.raises(IndexError) as first_bad:  # the records in file order
-        list(data._record_lines(header, splits, 0, len(splits[0]) + len(splits[1])))
-    with pytest.raises(IndexError) as serial:
-        write_dataset(tmp_path / "serial.jsonl", header, *splits)
-    ranges_everywhere(monkeypatch, 2)
-    runs = spy_on(monkeypatch, "_write_in_ranges")
-    path = tmp_path / "ranged.jsonl"
-    with pytest.raises(IndexError) as ranged:
-        write_dataset(path, header, *splits)
-    assert str(ranged.value) == str(serial.value) == str(first_bad.value)
-    assert runs == ranged_runs
-    assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
-    assert_no_child_left()
-
-
-@needs_fork
-def test_write_stays_serial_while_another_thread_runs(tmp_path, monkeypatch):
-    header, *splits = drawn_splits()
-    expected = serial_bytes(tmp_path, header, *splits)
-    ranges_everywhere(monkeypatch, 2)
-    runs = spy_on(monkeypatch, "_write_in_ranges")
-    forks = count_forks(monkeypatch)
-    stop = threading.Event()
-    worker = threading.Thread(target=stop.wait)
-    worker.start()
-    try:
-        write_dataset(tmp_path / "ranged.jsonl", header, *splits)
-    finally:
-        stop.set()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-    assert runs == [] and forks == []
-    assert (tmp_path / "ranged.jsonl").read_bytes() == expected
-
-
-@pytest.mark.parametrize("cores", [1, pytest.param(3, marks=needs_fork)])
 @pytest.mark.parametrize("value", [math.nan, -math.inf])
 @pytest.mark.parametrize("split,row", [(0, 0), (1, -1)], ids=["first-record", "last-record"])
-def test_write_rejects_a_non_finite_entry_and_leaves_no_file(tmp_path, monkeypatch, cores, value, split, row):
+def test_write_rejects_a_non_finite_entry_and_leaves_no_file(tmp_path, value, split, row):
     header, *splits = drawn_splits()
-    splits[split].q[row, 1] = value  # the first record is in the size estimate, the last in a child's range
+    splits[split].q[row, 1] = value
     rid = splits[split].ids[row]
-    if cores > 1:
-        ranges_everywhere(monkeypatch, cores)
-    runs = spy_on(monkeypatch, "_write_in_ranges")
     path = tmp_path / "ds.jsonl"
     with pytest.raises(DataFormatError, match=f"record '{rid}': a vector entry is not finite"):
         write_dataset(path, header, *splits)
-    assert runs == ([False] if cores > 1 and row == -1 else [])
     assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
-    assert_no_child_left()
 
 
 def read_all(readers):
@@ -1379,7 +1207,152 @@ def test_write_and_load_round_trip_any_finite_floats_bit_for_bit(tmp_path):
         assert_no_child_left()
 
     round_trip()
-    assert forks  # some examples were written and parsed in ranges
+    assert forks  # some examples were parsed in ranges
+
+
+# where orjson and json spell a float64 alike, and where not: both sides of
+# 1e-4 and 1e16, subnormals, signed zeros and the extremes
+NOTATION_FLOATS = [
+    9.999999999999999e-05, -9.999999999999999e-05, 0.0001, -0.0001, 9999999999999998.0,
+    -9999999999999998.0, 1e16, -1e16, 5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 0.5, 1 / 3,
+]
+# characters json escapes or writes as \uXXXX where orjson writes them raw
+ODD_CHARACTERS = ['"', "\\", "\x00", "\x1f", "\t", "\n", "\x7f", "\x85", "\u2028", "\u00e9", "\u20ac", "\U0001f600"]
+odd_texts = st.text(st.one_of(st.sampled_from(ODD_CHARACTERS), st.characters(max_codepoint=0x7f)), max_size=5)
+
+
+def column_as(kind, values):
+    """``values``, an (n, dim) float64 matrix, as a column of another
+    layout or type, holding the same numbers where the type can."""
+    n, dim = values.shape
+    if kind == "rows-of-a-draw":  # as the generator gives it: rows of unit stride, not contiguous
+        draw = np.zeros((n, 3, dim))
+        draw[:, 1] = values
+        return draw[:, 1]
+    if kind == "strided":
+        return np.repeat(values, 2, axis=1)[:, ::2]
+    if kind == "int64":
+        return np.clip(np.nan_to_num(values), -2.0**62, 2.0**62).astype(np.int64)
+    if kind == "float32":
+        top = np.finfo(np.float32).max
+        return np.clip(values, -top, top).astype(np.float32)
+    return {"c": np.ascontiguousarray, "fortran": np.asfortranarray,
+            "big-endian": lambda v: v.astype(">f8")}[kind](values)
+
+
+COLUMN_KINDS = ["c", "rows-of-a-draw", "fortran", "strided", "int64", "float32", "big-endian"]
+
+
+def assert_written_as_json_writes(path, header, *splits):
+    """``write_dataset`` writes the oracle's bytes and returns their sha256,
+    or raises its DataFormatError and leaves no file."""
+    try:
+        expected = data_oracle.json_lines(header, *splits)
+    except DataFormatError as e:
+        expected = str(e)
+    for leftover in (path, f"{path}.cols"):
+        if os.path.exists(leftover):
+            os.remove(leftover)
+    if isinstance(expected, str):
+        with pytest.raises(DataFormatError) as error:
+            write_dataset(path, header, *splits)
+        assert str(error.value) == expected
+        assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
+    else:
+        assert write_dataset(path, header, *splits) == hashlib.sha256(expected).hexdigest()
+        assert path.read_bytes() == expected
+    return expected
+
+
+@pytest.mark.parametrize("block", [8, data._WRITE_BLOCK_ENTRIES], ids=["1-2-records", "all-records"])
+@pytest.mark.parametrize("kind", COLUMN_KINDS)
+def test_write_spells_every_record_as_json_dumps_does(tmp_path, monkeypatch, kind, block):
+    # each record is plain but for one part: a vector entry, its id or its
+    # label; written in blocks of one or two records, and in one block
+    monkeypatch.setattr(data, "_WRITE_BLOCK_ENTRIES", block)
+    odd_ids = [f"id{ch}" for ch in ODD_CHARACTERS] + [7, ("a", 1)]
+    m = len(NOTATION_FLOATS)
+    n = m + len(odd_ids)
+    odd_entries = np.full((n, 2), 0.5)
+    odd_entries[:m, 0] = NOTATION_FLOATS
+    plain = np.full((n + 1, 2), 0.25)
+    labels = np.zeros(n + 1, dtype=np.int64)
+    labels[-1] = 1
+    header = DatasetHeader(2, ["plain", "odd" + "".join(ODD_CHARACTERS)], [n, 1])
+    ids = [f"v{i}" for i in range(m)] + odd_ids
+    labeled = Split(ids + ["named"], labels, column_as(kind, np.vstack([odd_entries, plain[:1]])),
+                    column_as(kind, plain))
+    unlabeled = Split(ids, None, *(column_as(kind, v) for v in (plain[:n], plain[:n], plain[:n], -odd_entries)))
+    assert isinstance(assert_written_as_json_writes(tmp_path / "ds.jsonl", header, labeled, unlabeled), bytes)
+
+
+def break_last_label(labeled, unlabeled):
+    labeled.labels[-1] = 3  # past class_names, in the last record written
+    return unlabeled, labeled
+
+
+def break_two_records(labeled, unlabeled):
+    labeled.q = labeled.q[:-1]  # the last labeled record, written first, has no q
+    unlabeled.q_aug = unlabeled.q_aug[:0]  # no unlabeled record has a q_aug
+    return labeled, unlabeled
+
+
+@pytest.mark.parametrize("corrupt", [break_last_label, break_two_records], ids=["label", "short-columns"])
+def test_write_raises_what_json_dumps_does_on_a_record_it_cannot_write(tmp_path, corrupt):
+    header, *splits = drawn_splits()
+    splits = corrupt(*splits)
+    with pytest.raises(IndexError) as first_bad:  # the records in file order
+        data_oracle.json_lines(header, *splits)
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(IndexError) as written:
+        write_dataset(path, header, *splits)
+    assert str(written.value) == str(first_bad.value)
+    assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
+
+
+def test_write_matches_json_dumps_on_any_records(tmp_path):
+    outcomes = set()
+    plain_texts = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), max_size=4)
+    texts = st.one_of(plain_texts, odd_texts)
+    plain_floats = st.one_of(st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4), st.just(0.0))
+    odd_floats = st.one_of(st.sampled_from(NOTATION_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def write(draw):
+        dim = draw.draw(st.integers(1, 3))
+        names = draw.draw(st.lists(texts, min_size=2, max_size=3, unique=True)
+                          .filter(lambda names: UNLABELED_SENTINEL not in names))
+        ids = st.one_of(plain_texts, odd_texts, st.integers(), st.tuples(st.integers(0, 9), texts))
+
+        def column(n):
+            # plain entries, and a few others
+            values = draw.draw(hnp.arrays(np.float64, (n, dim), elements=plain_floats))
+            odd = st.tuples(st.integers(0, 9), st.integers(0, 9), odd_floats)
+            for row, entry, value in draw.draw(st.lists(odd, max_size=2)) if n else ():
+                values[row % n, entry % dim] = value
+            return column_as(draw.draw(st.sampled_from(COLUMN_KINDS)), values)
+
+        n = draw.draw(st.integers(0, 4))
+        labels = np.array(draw.draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)), dtype=np.int64)
+        labeled = Split(draw.draw(st.lists(ids, min_size=n, max_size=n)), labels, column(n), column(n))
+        n = draw.draw(st.integers(0, 4))
+        unlabeled = Split(draw.draw(st.lists(ids, min_size=n, max_size=n)), None, *(column(n) for _ in range(4)))
+        header = DatasetHeader(dim, names, np.bincount(labels, minlength=len(names)).tolist())
+        splits = [split for split in (labeled, unlabeled) if len(split)]
+        poison = draw.draw(st.none() | st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]),
+                                                 st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)))
+        if poison and splits:
+            value, k, row, entry = poison
+            split = splits[k % len(splits)]
+            target = [split.q, split.c, split.q_aug, split.c_aug][k % (2 if split.labels is not None else 4)]
+            if target.dtype.kind == "f":
+                target[row % len(split), entry % dim] = value
+        outcomes.add(type(assert_written_as_json_writes(tmp_path / "ds.jsonl", header, labeled, unlabeled)))
+
+    write()
+    assert outcomes == {bytes, str}  # files were written, and errors raised
 
 
 # ---------------------------------------------------------------------------
@@ -1641,6 +1614,15 @@ def test_load_truth_validation(tmp_path):
     dup.write_text("a\tyes\na\tno\n")
     with pytest.raises(DataFormatError):
         load_truth(dup)
+
+
+def test_load_truth_keeps_one_str_per_class_name(tmp_path):
+    path = tmp_path / "t.tsv"
+    names = ["yes", "no", "maybe"]
+    path.write_text("".join(f"id{i}\t{names[i % 3]}\n" for i in range(20000)))  # several blocks
+    truth = load_truth(path)
+    assert truth == data_oracle.load_truth(path)
+    assert {name: len({id(v) for v in truth.values() if v == name}) for name in names} == dict.fromkeys(names, 1)
 
 
 def block_lines(n, start=0):
