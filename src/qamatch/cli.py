@@ -179,8 +179,7 @@ GENERATE_PRESETS = {
 
 # ----------------------------------------------------------------- utils --
 
-def _ensure_out_dir(out, filenames, force: bool):
-    os.makedirs(out, exist_ok=True)
+def _refuse_overwrite(out, filenames, force: bool):
     if force:
         return
     clashes = [n for n in filenames if os.path.exists(os.path.join(out, n))]
@@ -214,7 +213,8 @@ def cmd_generate(args) -> int:
         **{f.name: resolved[f.name] for f in dataclasses.fields(data_mod.SynthConfig)}
     )
     filenames = ["train.jsonl", "valid.jsonl", "test.jsonl", "unlabeled-truth.tsv", "manifest.json"]
-    _ensure_out_dir(args.out, filenames, args.force)
+    _refuse_overwrite(args.out, filenames, args.force)
+    os.makedirs(args.out, exist_ok=True)
     digests = data_mod.synth_generate(cfg, args.out)
     logger.info(
         "generated %s labeled / %s unlabeled train examples into %s",
@@ -241,6 +241,8 @@ def resolve_train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = resolve_train_config(args)
+    # a clash is refused before any input is hashed or loaded
+    _refuse_overwrite(args.out, ["model.qam", "report.jsonl", "manifest.json"], args.force)
     train_path = os.path.join(args.data, "train.jsonl")
     valid_path = os.path.join(args.data, "valid.jsonl")
     truth_path = os.path.join(args.data, "unlabeled-truth.tsv")
@@ -261,8 +263,8 @@ def cmd_train(args) -> int:
         config, header, labeled, unlabeled, valid_header, valid_records, truth
     )
 
-    filenames = ["model.qam", "report.jsonl", "manifest.json"]
-    _ensure_out_dir(args.out, filenames, args.force)
+    # created only once the data have loaded, so a data error leaves no directory
+    os.makedirs(args.out, exist_ok=True)
     logger.info(
         "training on %d labeled / %d unlabeled examples for %d iterations",
         len(labeled), len(unlabeled), config.iterations,
@@ -312,6 +314,10 @@ def cmd_eval(args) -> int:
     if X.shape[1] != model.input_dim:
         raise ShapeError(
             f"dataset width {X.shape[1]} does not match model input {model.input_dim}"
+        )
+    if model.num_classes != header.num_classes:
+        raise ShapeError(
+            f"dataset has {header.num_classes} classes, model outputs {model.num_classes}"
         )
     if not np.isfinite(model.forward_batch(X)).all():
         raise DataFormatError(f"{args.model}: model outputs are not finite on {args.data}")

@@ -61,6 +61,7 @@ import logging
 import marshal
 import math
 import os
+import selectors
 import signal
 import threading
 from array import array
@@ -81,8 +82,9 @@ RECORD_KEYS = ("id", "label", "q", "c", "q_aug", "c_aug")
 # the types json.loads gives JSON numbers; float() would also take str and bool
 _JSON_NUMBERS = frozenset((int, float))
 # A file is parsed in byte ranges of at least this size, one per usable
-# core: a fork and reap of a 60 MB process costs about 2 ms, against about
-# 22 ms to parse 512 KiB, so a file under 1 MiB stays serial.
+# core and each in a forked child: a fork and reap of a 60 MB process costs
+# about 2 ms, against about 22 ms to parse 512 KiB, so a file under 1 MiB
+# stays serial.
 _RANGE_MIN_BYTES = 1 << 19
 # A text reader reads this many bytes of lines at a time, a multiple of the
 # _DECODE_BYTES at a time io.TextIOWrapper decodes, so that undecodable
@@ -424,11 +426,14 @@ def _cut_points(path, ranges: int) -> list:
     return sorted(cuts)
 
 
-def _fork(job):
-    """Fork a child that runs ``job(out)``, with ``out`` the binary write end
-    of a pipe, and exits; returns (pid, the pipe's read end). The child
-    exits with status 0 only once ``job`` has returned and ``out`` is
-    closed."""
+def _fork_parse(path, header, start: int, stop: int):
+    """Fork a child that parses the records in the bytes [start, stop) of
+    ``path`` (see ``_parse_records``), sends them down a pipe and exits;
+    returns (pid, the pipe's binary read end). The child sends the ids and
+    labels of both kinds of record first, marshalled twice so that
+    ``marshal.load`` reads them in one call rather than in one call per id,
+    then the raw columns; it exits with status 0 only once all of it is
+    sent."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -443,7 +448,13 @@ def _fork(job):
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as out:
-            job(out)
+            lines = read_lines(path, start, stop)
+            if start == 0:  # skip the header line
+                next(lines, None)
+            parts = _parse_records(path, header, lines)
+            marshal.dump(marshal.dumps([(part.ids, part.labels) for part in parts]), out)
+            for part in parts:
+                out.writelines(part.cols.values())
         status = 0
     finally:
         # never return into the parent's code: run none of its exit hooks,
@@ -451,100 +462,73 @@ def _fork(job):
         os._exit(status)
 
 
-def _in_children(jobs, work):
-    """Run each of ``jobs`` in a forked child (see ``_fork``) while this
-    process runs ``work(readers)``, with the children's pipes in job order.
-    Returns what ``work`` returns, or None when a fork failed, ``work``
-    raised or a child exited with another status than 0; the caller then
-    does the whole job serially. A child is SIGKILLed unless ``work``
-    returned, and every child is reaped before this returns or raises."""
-    children = []
-    done = False
-    result = None
-    try:
-        for job in jobs:
-            children.append(_fork(job))
-        result = work([fh for _, fh in children])
-        done = True
-    except Exception:
-        # whatever failed, the serial path runs next and is the only source
-        # of errors, so each keeps its message
-        logger.debug("a job in forked ranges failed; doing it serially", exc_info=True)
-    finally:
-        for pid, fh in children:
-            fh.close()
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-            if done and status:
-                logger.debug("a range child ended with wait status %#x; doing it serially", status)
-                done = False
-    return result if done else None
-
-
-def _gather(dim: int, readers, own) -> list:
-    """Join the children's results (in range order) and the parent's own last
-    range into one Split per kind of record. Each column goes straight from
-    its pipe into its slice of the final (n, dim) matrix, one column at a
-    time; ``_in_children`` drops a child's short output on its exit status."""
-    sources = [(fh, marshal.loads(marshal.load(fh))) for fh in readers]
-    sources.append((None, [(part.ids, part.labels) for part in own]))
+def _gather(dim: int, readers) -> list:
+    """Join the output of ``_fork_parse`` children, ``readers`` being their
+    pipes in range order, into one Split per kind of record. Each child's
+    ids and labels are read as soon as its pipe is readable, so a range
+    that failed, whose child sends nothing, raises EOFError as soon as the
+    child exits. Then each column goes straight from its pipes into its
+    slices of the final (n, dim) matrix, one column at a time; a short
+    column shows only in its child's exit status. An id that occurs in
+    two ranges is a ValueError."""
+    metas = [None] * len(readers)
+    with selectors.DefaultSelector() as selector:
+        for i, fh in enumerate(readers):
+            selector.register(fh, selectors.EVENT_READ, i)
+        while selector.get_map():
+            for key, _ in selector.select():
+                selector.unregister(key.fileobj)
+                metas[key.data] = marshal.loads(marshal.load(key.fileobj))
+    ids = [[rid for meta in metas for rid in meta[kind][0]] for kind in range(2)]
+    if len(set(ids[0]).union(ids[1])) != len(ids[0]) + len(ids[1]):
+        raise ValueError("an id occurs in two ranges")
     splits = []
-    for kind, own_part in enumerate(own):
-        ids = [rid for _, meta in sources for rid in meta[kind][0]]
-        labels = None
-        if own_part.labels is not None:
-            labels = np.array([k for _, meta in sources for k in meta[kind][1]], dtype=np.int64)
+    for kind, labeled in enumerate((True, False)):
+        labels = np.array([k for meta in metas for k in meta[kind][1]], dtype=np.int64) if labeled else None
         cols = {}
-        for key in list(own_part.cols):
-            matrix = cols[key] = np.empty((len(ids), dim))
+        for key in RECORD_KEYS[2 : 4 if labeled else 6]:
+            matrix = cols[key] = np.empty((len(ids[kind]), dim))
             row = 0
-            for fh, meta in sources:
+            for fh, meta in zip(readers, metas):
                 rows = matrix[row : row + len(meta[kind][0])]
-                if fh is None:
-                    # the parent's own column is last; drop it once copied
-                    rows[...] = np.frombuffer(own_part.cols.pop(key)).reshape(rows.shape)
-                else:
-                    fh.readinto(rows)
+                fh.readinto(rows)
                 row += len(rows)
-        splits.append(Split(ids, labels, **cols))
+        splits.append(Split(ids[kind], labels, **cols))
     return splits
 
 
 def _parse_in_ranges(path, header, ranges: int):
-    """Parse the records of ``path`` in up to ``ranges`` byte ranges at once:
-    a forked child per range but the last, which this process streams
-    itself. Returns the labeled and unlabeled Splits as ``_parse_records``
-    over the whole file would give them, or None when a range failed, a
-    child exited with another status than 0 or an id occurs in two ranges;
-    the serial parse then runs and reports the error. No child outlives the
-    call."""
+    """Parse the records of ``path`` in up to ``ranges`` byte ranges at once,
+    each in a child of its own (``_fork_parse``). Returns the labeled and
+    unlabeled Splits as ``_parse_records`` over the whole file would give
+    them, or None when a fork or a range failed, a child exited with
+    another status than 0 or an id occurs in two ranges; the serial parse
+    then runs and reports the error. A child is SIGKILLed unless its
+    output was all read, and every child is reaped before this returns or
+    raises."""
     cuts = _cut_points(path, ranges)
     if len(cuts) < 3:
         return None
-
-    def parse(start, stop):
-        def job(out):
-            lines = read_lines(path, start, stop)
-            if start == 0:  # skip the header line
-                next(lines, None)
-            parts = _parse_records(path, header, lines)
-            # marshalled twice, so that marshal.load reads the ids and labels
-            # in one call rather than in one call per id
-            marshal.dump(marshal.dumps([(part.ids, part.labels) for part in parts]), out)
-            for part in parts:
-                out.writelines(part.cols.values())
-
-        return job
-
-    def own_range(readers):
-        own = _parse_records(path, header, read_lines(path, cuts[-2]))
-        splits = _gather(header.dim, readers, own)
-        if len(set(splits[0].ids).union(splits[1].ids)) != len(splits[0]) + len(splits[1]):
-            raise ValueError("an id occurs in two ranges")
-        return splits
-
-    return _in_children([parse(start, stop) for start, stop in zip(cuts, cuts[1:-1])], own_range)
+    children = []
+    splits = None
+    try:
+        for start, stop in zip(cuts, cuts[1:]):
+            children.append(_fork_parse(path, header, start, stop))
+        splits = _gather(header.dim, [fh for _, fh in children])
+    except Exception:
+        # whatever failed, the serial parse runs next and is the only source
+        # of errors, so each keeps its message
+        logger.debug("a range failed; parsing serially", exc_info=True)
+    finally:
+        for pid, fh in children:
+            fh.close()
+            if splits is None:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+            if splits is not None and status:
+                logger.debug("a range child ended with wait status %#x; parsing serially", status)
+                splits = None
+    return splits
 
 
 def _sha256_in_thread(path):
@@ -652,7 +636,9 @@ def load_dataset(path, source_sha256=None):
     beside ``path`` while that file matches ``path`` and passes the checks
     of ``_load_columns``; the loader never writes one. Otherwise a file of
     at least two _RANGE_MIN_BYTES ranges is parsed in byte ranges on the
-    usable cores (see ``_range_count``), and a smaller one serially. The
+    usable cores (see ``_range_count``), each in a forked child, and a
+    smaller one serially. A range that fails is seen as soon as its child
+    exits; the serial parse then runs and reports the error, so the
     result, and any error, is the same either way. A caller that has
     hashed ``path`` passes its hex sha256 as ``source_sha256``, so that
     the column file's source check does not hash it again. Otherwise a

@@ -7,9 +7,11 @@ validation and test splits of ``benchmarks/workloads.py``'s ``corpus``
 (329/106/65, 33/11/6 and 329/106/65 over yes/no/maybe) with 39,000
 unlabeled records in the same mix, all at ``dim`` 768, 40,050 records in
 all. ``qamatch generate``, a library ``load_dataset`` of ``train.jsonl``,
-``qamatch train`` (200 iterations at the acceptance shape, rescaled class
-weights) and ``qamatch eval`` on ``test.jsonl`` each run in a fresh
-process with one BLAS thread. For each it prints the wall time and the
+the same load with ``train.jsonl.cols`` moved aside (a column-file miss,
+as for hand-made data; the file is put back after it), ``qamatch train``
+(200 iterations at the acceptance shape, rescaled class weights) and
+``qamatch eval`` on ``test.jsonl`` each run in a fresh process with one
+BLAS thread. For each it prints the wall time and the
 peak resident set of the largest single process, the operation's own or
 that of a child it forked (``ru_maxrss`` as ``wait4`` reports it), and
 exits nonzero if any operation does. The data take about 3.5 GB of disk
@@ -34,17 +36,21 @@ TRAIN = {**ACCEPTANCE_SHAPE, "iterations": 200, "rescale_weights": True}
 
 
 def operations(work):
-    """(name, Python source run in a fresh process) per operation, in order."""
+    """(name, Python source run in a fresh process, a file moved aside while
+    it runs or None) per operation, in order."""
     data, run = os.path.join(work, "data"), os.path.join(work, "run")
     cli = "import sys; from qamatch.cli import main; sys.exit(main({!r}))".format
+    train = os.path.join(data, "train.jsonl")
+    load = f"from qamatch.data import load_dataset; load_dataset({train!r})"
     return [
         ("generate", cli(["generate", "--out", data, "--config", os.path.join(work, "generate.cfg"),
-                          "--seed", str(SEED)])),
-        ("load", f"from qamatch.data import load_dataset; load_dataset({os.path.join(data, 'train.jsonl')!r})"),
+                          "--seed", str(SEED)]), None),
+        ("load", load, None),
+        ("load-miss", load, f"{train}.cols"),
         ("train", cli(["train", "--data", data, "--out", run, "--config", os.path.join(work, "train.cfg"),
-                       "--seed", str(SEED)])),
+                       "--seed", str(SEED)]), None),
         ("eval", cli(["eval", "--model", os.path.join(run, "model.qam"), "--data",
-                      os.path.join(data, "test.jsonl")])),
+                      os.path.join(data, "test.jsonl")]), None),
     ]
 
 
@@ -62,13 +68,19 @@ def main(work):
     print(f"{'operation':<10} {'wall s':>8} {'peak MiB':>9} {'exit':>5}")
     failed = False
     with open(os.devnull, "w") as devnull:
-        for name, source in operations(work):
-            start = time.perf_counter()
-            # the commands' own output would break up the table
-            pid = os.posix_spawn(sys.executable, [sys.executable, "-c", source], env,
-                                 file_actions=[(os.POSIX_SPAWN_DUP2, devnull.fileno(), 1)])
-            _, status, usage = os.wait4(pid, 0)
-            wall = time.perf_counter() - start
+        for name, source, aside in operations(work):
+            if aside is not None:
+                os.rename(aside, f"{aside}.aside")
+            try:
+                start = time.perf_counter()
+                # the commands' own output would break up the table
+                pid = os.posix_spawn(sys.executable, [sys.executable, "-c", source], env,
+                                     file_actions=[(os.POSIX_SPAWN_DUP2, devnull.fileno(), 1)])
+                _, status, usage = os.wait4(pid, 0)
+                wall = time.perf_counter() - start
+            finally:
+                if aside is not None:
+                    os.rename(f"{aside}.aside", aside)
             code = os.waitstatus_to_exitcode(status)
             failed |= code != 0
             print(f"{name:<10} {wall:>8.1f} {usage.ru_maxrss / 1024:>9.0f} {code:>5}", flush=True)

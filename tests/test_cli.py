@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qamatch
+from qamatch import data as data_mod
 from qamatch import errors
 from qamatch.cli import (
     EXIT_DATA,
@@ -34,7 +35,7 @@ from qamatch.cli import (
 from qamatch.data import labeled_matrix, load_dataset, sha256_file
 from qamatch.errors import DataFormatError
 from qamatch.metrics import evaluate_model
-from qamatch.numerics import load_model
+from qamatch.numerics import MlpClassifier, load_model, save_model
 from qamatch.trainer import REPORT_KEYS, TrainConfig, write_report
 
 
@@ -141,6 +142,15 @@ def test_refuses_overwrite_without_force(data_dir, tmp_path, capsys):
     assert main(["generate", "--out", str(fresh), "--config", cfg, "--force"]) == EXIT_OK
 
 
+def test_train_refuses_an_existing_run_before_loading_data(data_dir, run_dir, monkeypatch, capsys):
+    loads = []
+    real = data_mod.load_dataset
+    monkeypatch.setattr(data_mod, "load_dataset", lambda *args: loads.append(args) or real(*args))
+    assert main(["train", "--data", str(data_dir), "--out", str(run_dir)]) == EXIT_USAGE
+    assert "--force" in capsys.readouterr().err
+    assert loads == []
+
+
 def test_unknown_config_key_is_usage_error(data_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("iterations = 5\nlearning_rate = 0.1\n")
@@ -198,6 +208,19 @@ def test_eval_width_mismatch_is_data_error(run_dir, tmp_path):
     assert main(["generate", "--out", str(out), "--config", cfg]) == EXIT_OK
     rc = main(["eval", "--model", str(run_dir / "model.qam"), "--data", str(out / "train.jsonl")])
     assert rc == EXIT_DATA
+
+
+@pytest.mark.parametrize("classes", [2, 4])
+def test_eval_class_count_mismatch_is_data_error(data_dir, tmp_path, capsys, classes):
+    # the test file has 3 classes and rows of width 2 * 6; the bias makes a
+    # 4-output model predict its extra class on every row
+    bias = np.zeros(classes)
+    bias[-1] = 100.0
+    model = tmp_path / "model.qam"
+    save_model(MlpClassifier((12, classes), [np.zeros((12, classes))], [bias]), model)
+    rc = main(["eval", "--model", str(model), "--data", str(data_dir / "test.jsonl")])
+    assert rc == EXIT_DATA
+    assert f"dataset has 3 classes, model outputs {classes}" in capsys.readouterr().err
 
 
 def test_divergence_exit_code_and_snapshot(data_dir, tmp_path):

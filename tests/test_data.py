@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import marshal
 import math
 import os
 import signal
@@ -10,6 +11,7 @@ import struct
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import data_oracle
 import numpy as np
@@ -806,7 +808,7 @@ def test_loader_parses_beside_a_stale_column_file_in_ranges(tmp_path, monkeypatc
     forks = count_forks(monkeypatch)
     header, *splits = load_dataset(path)
     assert names == ["qamatch-sha256"]
-    assert runs[0] is not None and len(forks) == 2
+    assert runs[0] is not None and len(forks) == 3
     assert header == expected[0]
     assert_same_splits(expected[1:], splits)
     assert_no_child_left()
@@ -934,14 +936,14 @@ def test_loader_in_ranges_reports_a_duplicate_across_ranges(tmp_path, monkeypatc
 
 
 @needs_fork
-def test_loader_in_ranges_forks_below_the_core_count_and_leaves_no_child(tmp_path, monkeypatch):
+def test_loader_in_ranges_forks_a_child_per_core_and_leaves_no_child(tmp_path, monkeypatch):
     path = write_mutated(tmp_path, "ok.jsonl", padded)
     expected = load_dataset(path)
     threads = threading.active_count()
     runs = parse_in_ranges_everywhere(monkeypatch, cores=3)
     forks = count_forks(monkeypatch)
     header, *splits = load_dataset(path)
-    assert runs[0] is not None and len(forks) == 2
+    assert runs[0] is not None and len(forks) == 3
     assert header == expected[0]
     assert_same_splits(expected[1:], splits)
     assert threading.active_count() == threads
@@ -981,20 +983,29 @@ def test_loader_in_ranges_survives_a_child_killed_mid_parse(tmp_path, monkeypatc
 
 
 @needs_fork
-def test_loader_in_ranges_kills_its_children_when_a_range_fails(tmp_path, monkeypatch):
-    path = write_mutated(tmp_path, "bad.jsonl", lambda ls: padded(ls) + ["{not json"])
+@pytest.mark.parametrize("bad_range", ["first", "last"])
+def test_loader_in_ranges_kills_its_children_when_a_range_fails(tmp_path, monkeypatch, bad_range):
+    bad = "{not json"
+    if bad_range == "first":
+        path = write_mutated(tmp_path, "bad.jsonl", lambda ls: ls[:1] + [bad] + padded(ls)[1:])
+        lineno = 2
+        assert data._cut_points(path, 2)[1] > len("\n".join(path.read_text().split("\n")[:2])) + 1
+    else:
+        path = write_mutated(tmp_path, "bad.jsonl", lambda ls: padded(ls) + [bad])
+        lineno = 45
     runs = parse_in_ranges_everywhere(monkeypatch)
-    parent = os.getpid()
     real = data._parse_records
 
     def parse(path, header, lines):
-        if os.getpid() != parent:
+        # every range but the bad one takes a minute
+        lines = list(lines)
+        if all(line != bad for _, line in lines):
             time.sleep(60)
         return real(path, header, lines)
 
     monkeypatch.setattr(data, "_parse_records", parse)
     start = time.monotonic()
-    with pytest.raises(DataFormatError, match="line 45: malformed"):
+    with pytest.raises(DataFormatError, match=f"line {lineno}: malformed"):
         load_dataset(path)
     assert time.monotonic() - start < 30
     assert runs == [None]
@@ -1119,46 +1130,45 @@ def test_write_rejects_a_non_finite_entry_and_leaves_no_file(tmp_path, value, sp
     assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
 
 
-def read_all(readers):
-    return [fh.read() for fh in readers]
-
-
 @needs_fork
-def test_forked_work_is_dropped_on_a_fork_error_or_a_bad_exit_status(monkeypatch):
-    def send(out):
-        out.write(b"ok")
-
-    def send_then_fail(out):
-        send(out)
-        out.flush()
-        os._exit(3)
-
-    def send_part_then_die(out):
-        out.write(b"o")
-        out.flush()
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    assert data._in_children([send, send], read_all) == [b"ok", b"ok"]
-    # the whole result arrived, but its child did not exit with status 0
-    assert data._in_children([send, send_then_fail], read_all) is None
-    # a part arrived, and its child was killed: the exit status is the only
-    # sign that the output is short
-    assert data._in_children([send, send_part_then_die], read_all) is None
+def test_forked_work_is_dropped_on_a_fork_error_or_a_bad_exit_status(tmp_path, monkeypatch):
+    path = write_mutated(tmp_path, "ok.jsonl", padded)
+    header, *expected = load_dataset(path)
+    threads = threading.active_count()
+    assert_same_splits(expected, data._parse_in_ranges(path, header, 2))
     assert_no_child_left()
+    real_exit, real_fork = os._exit, os.fork
 
-    real = os.fork
-    forks = []
-
+    # in each case only the second of the two range children goes wrong; a
+    # fork is counted before it is made, so the n-th child sees n forks
     def fork():
         forks.append(1)
-        if len(forks) == 2:
+        if case == "fork-error" and len(forks) == 2:
             raise OSError("fork failed")
-        return real()
+        return real_fork()
 
-    monkeypatch.setattr(os, "fork", fork)
-    assert data._in_children([send, send], read_all) is None
-    assert len(forks) == 2
-    assert_no_child_left()
+    def die_after_the_ids(value, out):
+        marshal.dump(value, out)
+        if len(forks) == 2:
+            out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    for case in ("bad-exit-status", "killed-mid-output", "fork-error"):
+        forks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", fork)
+            if case == "bad-exit-status":
+                # the whole output arrives, but the child does not exit with status 0
+                mp.setattr(os, "_exit", lambda status: real_exit(3 if len(forks) == 2 else status))
+            elif case == "killed-mid-output":
+                # the ids and labels arrive, the columns do not: the exit
+                # status is the only sign that the output is short
+                mp.setattr(data, "marshal", SimpleNamespace(
+                    dump=die_after_the_ids, dumps=marshal.dumps, load=marshal.load, loads=marshal.loads))
+            assert data._parse_in_ranges(path, header, 2) is None, case
+        assert len(forks) == 2, case
+        assert threading.active_count() == threads
+        assert_no_child_left()
 
 
 # float64 values whose shortest repr takes every form: signed zeros,
