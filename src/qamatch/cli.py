@@ -319,9 +319,10 @@ def cmd_eval(args) -> int:
         raise ShapeError(
             f"dataset has {header.num_classes} classes, model outputs {model.num_classes}"
         )
-    if not np.isfinite(model.forward_batch(X)).all():
+    probs = model.forward_batch(X)
+    if not np.isfinite(probs).all():
         raise DataFormatError(f"{args.model}: model outputs are not finite on {args.data}")
-    record = evaluate_model(model, X, y, header.num_classes)
+    record = evaluate_model(model, X, y, header.num_classes, probs=probs)
     print(json.dumps(record, indent=2))
     return EXIT_OK
 

@@ -45,8 +45,9 @@ file of 2 MiB or more is hashed on a helper thread while the column file
 is read and checked, and a smaller one first.
 
 ``write_dataset`` writes a dataset file in one pass and hashes its bytes
-as it writes them; ``orjson`` encodes each record line that it spells as
-``json.dumps`` does. The reader keeps ``json``, on which its messages,
+as it writes them. Its lines are the bytes ``json.dumps`` gives; ``orjson``
+encodes each column a block of records at a time, and the few numbers it
+spells otherwise are respelled. The reader keeps ``json``, on which its messages,
 line numbers, NaN and huge-integer handling depend, and reads text files
 a block of about 64 KiB of whole lines at a time (``read_blocks``), so it
 holds one block of lines, not the file.
@@ -67,7 +68,9 @@ import threading
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
-from itertools import chain
+from itertools import chain, groupby, repeat
+from json.encoder import encode_basestring_ascii
+from operator import is_, itemgetter
 
 import numpy as np
 import orjson
@@ -102,11 +105,12 @@ _COLS_KEYS = HEADER_KEYS + ("labeled_ids", "labels", "unlabeled_ids", "source_sh
 # below about 1.5 MB the thread's start and its hand-offs of the GIL cost
 # more than the overlap saves (and 0.3 ms more on a 180 KB test file).
 _HASH_THREAD_MIN_BYTES = 1 << 21
-# write_dataset encodes records of about this many vector entries (90 KB
-# of lines) at a time; 4x as many took 0.5 MiB more of a benchmark
-# process's peak and no less time
-_WRITE_BLOCK_ENTRIES = 1 << 12
-_ORJSON_OPTIONS = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+# write_dataset encodes records of about this many vector entries (about
+# 350 KB of lines) at a time, a column block at a time. On the benchmark's
+# corpus and full data, a quarter as many took 5 to 10% more CPU, half as
+# many 1 to 4% more (and 0.1 MiB less of the full workload's peak), and
+# 4x as many no less
+_WRITE_BLOCK_ENTRIES = 1 << 14
 
 # Nudge added before flooring long-tail counts so ratios that are exact in
 # real arithmetic (say gamma ** (-1/2) with gamma = 4) do not floor one
@@ -703,51 +707,80 @@ def _record_line(header: DatasetHeader, split: Split, i: int) -> str:
         raise DataFormatError(f"record {split.ids[i]!r}: a vector entry is not finite") from None
 
 
-def _plain_texts(texts) -> np.ndarray:
-    """A bool per item of ``texts``: whether it is a str of printable ASCII,
-    which ``json.dumps`` and ``orjson.dumps`` spell alike (``json`` writes
-    any other character as ``\\uXXXX``, ``orjson`` DEL and non-ASCII raw)."""
-    return np.fromiter((type(t) is str and t.isascii() and t.isprintable() for t in texts), bool, len(texts))
+def _number_texts(values: np.ndarray) -> list:
+    """The entries of each row of the C-contiguous float64 matrix
+    ``values`` as ``json.dumps`` spells them, comma-separated: one bytes
+    per row. ``orjson`` encodes the matrix in one call; then each entry it
+    spells otherwise, nonzero of magnitude under 1e-4 or of 1e16 and over
+    (``orjson`` prints 0.00005 and 1e16 where ``json`` prints 5e-05 and
+    1e+16), is respelled with ``float.__repr__``. A non-finite entry is
+    left as ``orjson`` spells it, ``null``."""
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    size = np.abs(values)
+    odd = ((size < 1e-4) & (size != 0)) | (size >= 1e16)
+    rows, entries = np.nonzero(odd)
+    for row, group in groupby(zip(rows.tolist(), entries.tolist(), values[odd].tolist()), itemgetter(0)):
+        numbers = texts[row].split(b",")
+        for _, entry, value in group:
+            numbers[entry] = float.__repr__(value).encode()
+        texts[row] = b",".join(numbers)
+    return texts
 
 
 def _record_blocks(header: DatasetHeader, split: Split):
-    """The file lines of the records of ``split`` in order, one bytearray
-    per block of about _WRITE_BLOCK_ENTRIES vector entries. A record is
-    ``orjson.dumps`` of its row views where that gives the bytes of
-    ``_record_line``: each column is a native float64 ndarray with rows of
-    unit stride, the labels an integer ndarray, the id and label are
-    ``_plain_texts``, and each vector entry is zero or of a magnitude in
-    [1e-4, 1e16) (outside it ``orjson`` prints 0.00005 and 1e16 where
-    ``json`` prints 5e-05 and 1e+16). Every other record goes through
-    ``_record_line``, which raises the error of one that cannot be written."""
+    """The file lines of the records of ``split`` in order, as bytes, about
+    _WRITE_BLOCK_ENTRIES vector entries at a time. Within a block each
+    column is encoded at once by ``_number_texts``, and the lines are
+    joined from the ids (``json``'s own string encoder), a label text per
+    class and the row texts. A record goes through ``_record_line``
+    instead, which raises the error of one that cannot be written, where
+    its id is not a str, its label index names no class or a vector entry
+    is not finite; so does every record of the split where a column is not
+    a native float64 (n, dim) ndarray or the labels not an integer
+    ndarray."""
     keys = _vector_keys(split)
     columns = [getattr(split, key) for key in keys]
-    n, labels, names = len(split), split.labels, header.class_names
+    n, labels = len(split), split.labels
     fast = np.zeros(n, dtype=bool)
-    if all(type(col) is np.ndarray and col.dtype == np.float64 and col.ndim == 2
-           and col.strides[1] == col.itemsize and len(col) >= n for col in columns) and (labels is None or (
+    if all(type(col) is np.ndarray and col.dtype == np.float64 and col.ndim == 2 and len(col) >= n
+           for col in columns) and (labels is None or (
             type(labels) is np.ndarray and labels.dtype.kind in "iu" and labels.ndim == 1 and len(labels) >= n)):
-        # each record's label, None for an index past the class names
-        texts = [UNLABELED_SENTINEL] * n if labels is None else [
-            names[k] if 0 <= k < len(names) else None for k in labels[:n].tolist()]
-        fast = _plain_texts(split.ids) & _plain_texts(texts)
+        fast = np.fromiter(map(is_, map(type, split.ids), repeat(str)), bool, n)
+        if labels is not None:
+            named = (labels[:n] >= 0) & (labels[:n] < header.num_classes)
+            fast &= named
+            classes = np.where(named, labels[:n], 0).tolist()
+    # a line is {"id":ID,"label":LABEL,"q":[ROW],"c":[ROW]}, with "q_aug"
+    # and "c_aug" rows for unlabeled records
+    names = [UNLABELED_SENTINEL] if labels is None else header.class_names
+    heads = [f',"label":{json.dumps(name)},"{keys[0]}":['.encode() for name in names]
+    seps = [f'],"{key}":['.encode() for key in keys[1:]]
     step = max(1, _WRITE_BLOCK_ENTRIES // (header.dim * len(columns)))
     for start in range(0, n, step):
         stop = min(start + step, n)
         block = fast[start:stop]
-        for col in columns if block.any() else ():
-            size = np.abs(col[start:stop])
-            block &= (((size >= 1e-4) & (size < 1e16)) | (size == 0)).all(axis=1)
-        lines = bytearray()
-        for i, plain in enumerate(block.tolist(), start):
-            if plain:
-                record = {"id": split.ids[i], "label": texts[i]}
-                for key, col in zip(keys, columns):
-                    record[key] = col[i]
-                lines += orjson.dumps(record, option=_ORJSON_OPTIONS)
-            else:
-                lines += _record_line(header, split, i).encode()
-        yield lines
+        pieces = []
+        if block.any():
+            rows = []
+            for col in columns:
+                values = np.ascontiguousarray(col[start:stop])
+                block &= np.isfinite(values).all(axis=1)
+                rows.append(_number_texts(values))
+            # json's escapes leave no line feed in an id's text
+            ids = "\n".join(map(encode_basestring_ascii, map(str, split.ids[start:stop]))).encode()
+            label_heads = repeat(heads[0]) if labels is None else list(map(heads.__getitem__, classes[start:stop]))
+            pieces = [repeat(b'{"id":'), ids.split(b"\n"), label_heads, rows[0]]
+            for sep, texts in zip(seps, rows[1:]):
+                pieces += [repeat(sep), texts]
+            pieces.append(repeat(b"]}\n"))
+        # the records that go through _record_line split the block into runs
+        lo = 0
+        for i in chain(np.flatnonzero(~block).tolist(), [len(block)]):
+            if lo < i:
+                yield b"".join(chain.from_iterable(zip(*(p[lo:i] if type(p) is list else p for p in pieces))))
+            if i < len(block):
+                yield _record_line(header, split, start + i).encode()
+            lo = i + 1
 
 
 def _loaded_columns(header: DatasetHeader, splits):
@@ -791,27 +824,29 @@ def _loaded_columns(header: DatasetHeader, splits):
 
 def _write_columns(path, header: DatasetHeader, splits, source: str) -> None:
     """Write the column file of the dataset file ``path``, whose bytes have
-    the sha256 ``source``, where ``_loaded_columns`` gives its contents."""
+    the sha256 ``source``, where ``_loaded_columns`` gives its contents, in
+    one pass: the JSON line goes first with a placeholder seal of the
+    seal's length, then each column block is copied, hashed and written
+    once, and last the seal is written over its placeholder."""
     contents = _loaded_columns(header, splits)
     if contents is None:
         return
     fields, blocks = contents
     fields["source_sha256"] = source
-
-    def payload():
-        for block in blocks:
-            yield np.ascontiguousarray(block, dtype="<f8")
-
-    # the line is encoded again to be written, so that it is not held while
-    # the columns are copied and hashed
-    digest = hashlib.sha256(_json_line(fields).encode())
-    for block in payload():
-        digest.update(block)
+    line = _json_line(fields).encode()
+    digest = hashlib.sha256(line)
     with atomic_open(f"{path}{_COLS_SUFFIX}", "wb") as fh:
         fh.write(_COLS_MAGIC)
-        fh.write(memoryview(_json_line(fields).encode())[:-2])  # less its "}\n"
+        fh.write(memoryview(line)[:-2])  # less its "}\n"
+        del line  # not held while the columns are copied
+        seal = fh.tell()
+        fh.write(_seal("0" * digest.digest_size * 2))
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype="<f8")
+            digest.update(block)
+            fh.write(block)
+        fh.seek(seal)
         fh.write(_seal(digest.hexdigest()))
-        fh.writelines(payload())
 
 
 def write_dataset(path, header: DatasetHeader, *splits) -> str:
@@ -820,7 +855,7 @@ def write_dataset(path, header: DatasetHeader, *splits) -> str:
     DataFormatError naming the first such record. Returns the sha256 of
     the file, taken over the bytes as they are written. Each line, and
     any error, is the one ``json.dumps`` gives, whether ``_record_blocks``
-    encodes it with ``orjson`` or not.
+    joins it from ``orjson``'s column blocks or encodes it alone.
 
     The binary column file ``<path>.cols`` (see the module docstring) is
     then written beside it, where ``_loaded_columns`` shows what the
@@ -1017,11 +1052,11 @@ def synth_generate(cfg: SynthConfig, out_dir) -> dict:
 
     truth = os.path.join(out_dir, "unlabeled-truth.tsv")
     # the truth sidecar keeps the labels the train file strips
-    with atomic_open(truth, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f"{rid}\t{cfg.class_names[k]}\n" for rid, k in zip(unlabeled.ids, unlabeled.labels)
-        )
-    digests = {"unlabeled-truth.tsv": sha256_file(truth)}
+    lines = "".join([f"{rid}\t{cfg.class_names[k]}\n" for rid, k in zip(unlabeled.ids, unlabeled.labels.tolist())])
+    lines = lines.encode()
+    with atomic_open(truth, "wb") as fh:
+        fh.write(lines)
+    digests = {"unlabeled-truth.tsv": hashlib.sha256(lines).hexdigest()}
     unlabeled.labels = None
     for name, counts, splits in (
         ("train.jsonl", cfg.labeled_counts, (labeled, unlabeled)),

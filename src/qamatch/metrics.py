@@ -106,18 +106,21 @@ def kl_divergence(p, q) -> float:
     return math.fsum(terms)
 
 
-def evaluate_model(model, X, labels, num_classes=None) -> dict:
+def evaluate_model(model, X, labels, num_classes=None, *, probs=None) -> dict:
     """Full evaluation record for a labeled set, keys in RECORD_KEYS order.
 
     ``kl_alignment`` is KL(empirical label distribution || mean predicted
     distribution): how far the model's average prediction drifts from the
-    true class mix of the evaluated data.
+    true class mix of the evaluated data. A caller that has run
+    ``model.forward_batch(X)`` already passes its output as ``probs``, and
+    the forward pass is not run again.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise UndefinedMetricError("cannot evaluate on an empty dataset")
     C = int(num_classes) if num_classes is not None else model.num_classes
-    probs = model.forward_batch(X)
+    if probs is None:
+        probs = model.forward_batch(X)
     preds = probs.argmax(axis=1)
     cm = confusion_matrix(labels, preds, C)
     label_dist = np.bincount(labels, minlength=C) / labels.size

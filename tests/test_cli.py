@@ -129,6 +129,18 @@ def test_eval_matches_evaluate_model(data_dir, run_dir, capsys):
     assert 0.0 <= printed["weighted_f1"] <= 1.0
 
 
+def test_eval_runs_the_forward_pass_once(data_dir, run_dir, monkeypatch, capsys):
+    # the finiteness check and the evaluation share one pass over the data
+    calls = []
+    real = MlpClassifier.forward_batch
+    monkeypatch.setattr(MlpClassifier, "forward_batch", lambda self, X: calls.append(X.shape) or real(self, X))
+    data = data_dir / "test.jsonl"
+    assert main(["eval", "--model", str(run_dir / "model.qam"), "--data", str(data)]) == EXIT_OK
+    header, labeled, _ = load_dataset(data)
+    assert calls == [labeled_matrix(labeled)[0].shape]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

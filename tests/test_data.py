@@ -1297,6 +1297,39 @@ def test_write_spells_every_record_as_json_dumps_does(tmp_path, monkeypatch, kin
     assert isinstance(assert_written_as_json_writes(tmp_path / "ds.jsonl", header, labeled, unlabeled), bytes)
 
 
+def odd_entry_split(kind):
+    """Six records of four-entry vectors, plain (0.25) but for entries that
+    orjson spells otherwise than json: first in a row, in the middle and
+    last, several in one row, a whole row of them, in the first and the
+    last column written; and a non-ASCII id in the fourth record."""
+    n, dim = 6, 4
+    columns = [np.full((n, dim), 0.25) for _ in range(2 if kind == "labeled" else 4)]
+    columns[0][0, 0] = 1e-05
+    columns[1][1, 1:] = [-2.5e-07, 0.5, 1e16]
+    columns[0][4] = [5e-324, 0.25, 0.0001, -1.5e17]
+    columns[-1][5] = [1e-05, -2e-05, 3e-05, 9.999999999999999e-05]
+    ids = ["r0", "r1", "r2", "mid-é", "r4", "r5"]
+    labels = np.array([0, 1, 0, 1, 1, 0]) if kind == "labeled" else None
+    header = DatasetHeader(dim, ["yes", "nö"], [3, 3] if kind == "labeled" else [0, 0])
+    return header, Split(ids, labels, *columns)
+
+
+@pytest.mark.parametrize("records", [1, 2, 6], ids=["1-record", "2-records", "all-records"])
+@pytest.mark.parametrize("kind", ["labeled", "unlabeled"])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan-mid-block"])
+def test_block_encoder_matches_json_dumps(tmp_path, monkeypatch, kind, records, nan):
+    header, split = odd_entry_split(kind)
+    columns = 2 if kind == "labeled" else 4
+    monkeypatch.setattr(data, "_WRITE_BLOCK_ENTRIES", records * header.dim * columns)
+    if nan:  # the third record: in the middle of a block of all records
+        split.c[2, 2] = math.nan
+    expected = assert_written_as_json_writes(tmp_path / "ds.jsonl", header, split)
+    if nan:
+        assert expected == "record 'r2': a vector entry is not finite"
+    else:
+        assert b"1e-05" in expected and b"\\u00e9" in expected and b"-1.5e+17" in expected
+
+
 def break_last_label(labeled, unlabeled):
     labeled.labels[-1] = 3  # past class_names, in the last record written
     return unlabeled, labeled
