@@ -44,13 +44,15 @@ dataset file's digest is the caller's where it passes one; otherwise a
 file of 2 MiB or more is hashed on a helper thread while the column file
 is read and checked, and a smaller one first.
 
-``write_dataset`` writes a dataset file in one pass and hashes its bytes
-as it writes them. Its lines are the bytes ``json.dumps`` gives; ``orjson``
-encodes each column a block of records at a time, and the few numbers it
-spells otherwise are respelled. The reader keeps ``json``, on which its messages,
-line numbers, NaN and huge-integer handling depend, and reads text files
-a block of about 64 KiB of whole lines at a time (``read_blocks``), so it
-holds one block of lines, not the file.
+``write_dataset`` takes only what ``load_dataset`` returns, and refuses
+anything else before it opens a file. It writes a dataset file in one pass
+and hashes its bytes as it writes them. Its lines are the bytes
+``json.dumps`` gives; ``orjson`` encodes each column a block of records at
+a time, and the few numbers it spells otherwise are respelled. The reader
+keeps ``json``, on which its messages, line numbers, NaN and huge-integer
+handling depend, and reads text files a block of about 64 KiB of whole
+lines at a time (``read_blocks``), so it holds one block of lines, not the
+file.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_, itemgetter
+from operator import itemgetter
 
 import numpy as np
 import orjson
@@ -562,6 +564,27 @@ def _seal(digest: str) -> bytes:
     return b',"payload_sha256":"' + digest.encode() + b'"}\n'
 
 
+def _check_records(header: DatasetHeader, ids, labels) -> None:
+    """Raise the DataFormatError of the first fault, unless ``ids``, those
+    of every record, are non-empty, unique str and ``labels``, the labeled
+    records' class indices as an int64 ndarray, name classes of ``header``
+    as often as its labeled counts say. ``write_dataset`` checks the splits
+    it is given with this, and ``_load_columns`` a column file's fields."""
+    if not all(type(rid) is str and rid for rid in ids) or len(set(ids)) != len(ids):
+        seen = set()
+        for rid in ids:
+            if type(rid) is not str or not rid:
+                raise DataFormatError(f"record id {rid!r} is not a non-empty str")
+            if rid in seen:
+                raise DataFormatError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+    if len(labels) and not 0 <= labels.min() <= labels.max() < header.num_classes:
+        raise DataFormatError(f"a label index is outside [0, {header.num_classes})")
+    actual = np.bincount(labels, minlength=header.num_classes).tolist()
+    if actual != header.labeled_counts:
+        raise DataFormatError(f"header labeled_counts {header.labeled_counts} do not match the records ({actual})")
+
+
 def _load_columns(path, source=None):
     """(header, labeled Split, unlabeled Split) from the column file beside
     the dataset file ``path``, or None unless it exists, was written from
@@ -594,16 +617,11 @@ def _load_columns(path, source=None):
                 return None
             header = DatasetHeader(*(meta[key] for key in HEADER_KEYS))
             labeled_ids, labels, unlabeled_ids = meta["labeled_ids"], meta["labels"], meta["unlabeled_ids"]
-            if not all(isinstance(value, list) for value in (labeled_ids, labels, unlabeled_ids)):
-                return None
-            ids = labeled_ids + unlabeled_ids
-            if not (all(type(rid) is str and rid for rid in ids) and len(set(ids)) == len(ids)
-                    and len(labels) == len(labeled_ids)
-                    and all(type(k) is int and 0 <= k < header.num_classes for k in labels)):
+            if not (all(isinstance(value, list) for value in (labeled_ids, labels, unlabeled_ids))
+                    and len(labels) == len(labeled_ids) and all(type(k) is int for k in labels)):
                 return None
             labels = np.array(labels, dtype=np.int64)
-            if np.bincount(labels, minlength=header.num_classes).tolist() != header.labeled_counts:
-                return None
+            _check_records(header, labeled_ids + unlabeled_ids, labels)
             rows = [len(labeled_ids)] * 2 + [len(unlabeled_ids)] * 4
             if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * header.dim * sum(rows):
                 return None
@@ -617,8 +635,9 @@ def _load_columns(path, source=None):
                 fh.readinto(column)
                 digest.update(column)
                 columns.append(column.astype(np.float64, copy=False))
-    except (OSError, ValueError, RecursionError, DataFormatError):
-        # unreadable, not JSON (a UnicodeDecodeError is a ValueError) or a bad header
+    except (OSError, ValueError, OverflowError, RecursionError, DataFormatError):
+        # unreadable, not JSON (a UnicodeDecodeError is a ValueError), a
+        # label past the int64 range, or a bad header or record
         return None
     finally:
         if join is not None:
@@ -689,32 +708,39 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _vector_keys(split: Split):
-    """The vector keys a record of ``split`` is written with."""
-    return RECORD_KEYS[2 : 4 if split.q_aug is None else 6]
-
-
-def _record_line(header: DatasetHeader, split: Split, i: int) -> str:
-    """The file line of record ``i`` of ``split`` through ``json.dumps``. A
-    non-finite vector entry is a DataFormatError."""
-    obj = {"id": split.ids[i],
-           "label": UNLABELED_SENTINEL if split.labels is None else header.class_names[split.labels[i]]}
-    for key in _vector_keys(split):
-        obj[key] = getattr(split, key)[i].tolist()
-    try:
-        return _json_line(obj)
-    except ValueError:  # JSON has no NaN or Infinity
-        raise DataFormatError(f"record {split.ids[i]!r}: a vector entry is not finite") from None
+def _check_splits(header: DatasetHeader, splits) -> DatasetHeader:
+    """``header`` checked anew, where ``header`` and ``splits`` are what
+    ``load_dataset`` returns (see ``write_dataset``); otherwise the
+    DataFormatError of the first fault found."""
+    header = DatasetHeader(header.dim, header.class_names, header.labeled_counts)
+    if UNLABELED_SENTINEL in header.class_names:
+        raise DataFormatError(f"class name {UNLABELED_SENTINEL!r} marks unlabeled records")
+    labels = [np.zeros(0, dtype=np.int64)]
+    for split in splits:
+        n = len(split)
+        if split.labels is not None:
+            if not (type(split.labels) is np.ndarray and split.labels.dtype.kind in "iu"
+                    and split.labels.shape == (n,)):
+                raise DataFormatError("labels must be an integer ndarray of one class index per record")
+            if split.q_aug is not None or split.c_aug is not None:
+                raise DataFormatError("labeled records have no q_aug or c_aug")
+            # an unsigned index past the int64 range wraps to a negative one
+            labels.append(split.labels.astype(np.int64, copy=False))
+        for key in RECORD_KEYS[2 : 4 if split.labels is not None else 6]:
+            column = getattr(split, key)
+            if not (type(column) is np.ndarray and column.dtype == np.float64 and column.shape == (n, header.dim)):
+                raise DataFormatError(f"{key} must be a native float64 ndarray of shape ({n}, {header.dim})")
+    _check_records(header, [rid for split in splits for rid in split.ids], np.concatenate(labels))
+    return header
 
 
 def _number_texts(values: np.ndarray) -> list:
     """The entries of each row of the C-contiguous float64 matrix
-    ``values`` as ``json.dumps`` spells them, comma-separated: one bytes
-    per row. ``orjson`` encodes the matrix in one call; then each entry it
-    spells otherwise, nonzero of magnitude under 1e-4 or of 1e16 and over
-    (``orjson`` prints 0.00005 and 1e16 where ``json`` prints 5e-05 and
-    1e+16), is respelled with ``float.__repr__``. A non-finite entry is
-    left as ``orjson`` spells it, ``null``."""
+    ``values``, all finite, as ``json.dumps`` spells them, comma-separated:
+    one bytes per row. ``orjson`` encodes the matrix in one call; then each
+    entry it spells otherwise, nonzero of magnitude under 1e-4 or of 1e16
+    and over (``orjson`` prints 0.00005 and 1e16 where ``json`` prints
+    5e-05 and 1e+16), is respelled with ``float.__repr__``."""
     texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
     size = np.abs(values)
     odd = ((size < 1e-4) & (size != 0)) | (size >= 1e16)
@@ -728,141 +754,89 @@ def _number_texts(values: np.ndarray) -> list:
 
 
 def _record_blocks(header: DatasetHeader, split: Split):
-    """The file lines of the records of ``split`` in order, as bytes, about
-    _WRITE_BLOCK_ENTRIES vector entries at a time. Within a block each
-    column is encoded at once by ``_number_texts``, and the lines are
-    joined from the ids (``json``'s own string encoder), a label text per
-    class and the row texts. A record goes through ``_record_line``
-    instead, which raises the error of one that cannot be written, where
-    its id is not a str, its label index names no class or a vector entry
-    is not finite; so does every record of the split where a column is not
-    a native float64 (n, dim) ndarray or the labels not an integer
-    ndarray."""
-    keys = _vector_keys(split)
+    """The file lines of the records of ``split``, a split ``_check_splits``
+    passed, in order, as bytes, about _WRITE_BLOCK_ENTRIES vector entries
+    at a time. Within a block each column is copied contiguous and encoded
+    at once by ``_number_texts``, and the lines are joined from the ids
+    (``json``'s own string encoder), a label text per class and the row
+    texts. A non-finite vector entry is a DataFormatError naming the first
+    record, in file order, that holds one."""
+    keys = RECORD_KEYS[2 : 4 if split.labels is not None else 6]
     columns = [getattr(split, key) for key in keys]
-    n, labels = len(split), split.labels
-    fast = np.zeros(n, dtype=bool)
-    if all(type(col) is np.ndarray and col.dtype == np.float64 and col.ndim == 2 and len(col) >= n
-           for col in columns) and (labels is None or (
-            type(labels) is np.ndarray and labels.dtype.kind in "iu" and labels.ndim == 1 and len(labels) >= n)):
-        fast = np.fromiter(map(is_, map(type, split.ids), repeat(str)), bool, n)
-        if labels is not None:
-            named = (labels[:n] >= 0) & (labels[:n] < header.num_classes)
-            fast &= named
-            classes = np.where(named, labels[:n], 0).tolist()
     # a line is {"id":ID,"label":LABEL,"q":[ROW],"c":[ROW]}, with "q_aug"
     # and "c_aug" rows for unlabeled records
-    names = [UNLABELED_SENTINEL] if labels is None else header.class_names
+    names = [UNLABELED_SENTINEL] if split.labels is None else header.class_names
     heads = [f',"label":{json.dumps(name)},"{keys[0]}":['.encode() for name in names]
     seps = [f'],"{key}":['.encode() for key in keys[1:]]
     step = max(1, _WRITE_BLOCK_ENTRIES // (header.dim * len(columns)))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = fast[start:stop]
-        pieces = []
-        if block.any():
-            rows = []
-            for col in columns:
-                values = np.ascontiguousarray(col[start:stop])
-                block &= np.isfinite(values).all(axis=1)
-                rows.append(_number_texts(values))
-            # json's escapes leave no line feed in an id's text
-            ids = "\n".join(map(encode_basestring_ascii, map(str, split.ids[start:stop]))).encode()
-            label_heads = repeat(heads[0]) if labels is None else list(map(heads.__getitem__, classes[start:stop]))
-            pieces = [repeat(b'{"id":'), ids.split(b"\n"), label_heads, rows[0]]
-            for sep, texts in zip(seps, rows[1:]):
-                pieces += [repeat(sep), texts]
-            pieces.append(repeat(b"]}\n"))
-        # the records that go through _record_line split the block into runs
-        lo = 0
-        for i in chain(np.flatnonzero(~block).tolist(), [len(block)]):
-            if lo < i:
-                yield b"".join(chain.from_iterable(zip(*(p[lo:i] if type(p) is list else p for p in pieces))))
-            if i < len(block):
-                yield _record_line(header, split, start + i).encode()
-            lo = i + 1
-
-
-def _loaded_columns(header: DatasetHeader, splits):
-    """The column file's JSON fields, less the digests, and its column
-    blocks in file order, as ``load_dataset`` gives them back from the
-    dataset file just written from ``splits``; None unless that is plain:
-    the header loads, no class bears the unlabeled sentinel, every id is a
-    str and every column written is an (n, dim) ndarray of floats or
-    integers, whose entries JSON carries as the numbers they are. (The
-    loader would give a tuple id back as the str of a list, and refuse a
-    bool entry, which ``astype`` would take as 0 or 1.)"""
-    fields = json.loads(_json_line(asdict(header)))  # the header line as the loader reads it
-    try:
-        name_to_index = {n: i for i, n in enumerate(DatasetHeader(**fields).class_names)}
-    except DataFormatError:
-        return None
-    if UNLABELED_SENTINEL in name_to_index:
-        return None
-    fields.update(labeled_ids=[], labels=[], unlabeled_ids=[])
-    # the blocks of each column, in the order the column file holds the columns
-    blocks = {("labeled", "q"): [], ("labeled", "c"): [],
-              **{("unlabeled", key): [] for key in ("q", "c", "q_aug", "c_aug")}}
-    for split in splits:
-        n = len(split)
-        kind = "unlabeled" if split.labels is None else "labeled"
-        written = [split.q, split.c]
-        if kind == "unlabeled" or split.q_aug is not None:
-            written += [split.q_aug, split.c_aug]
-        if not (all(isinstance(rid, str) for rid in split.ids) and all(
-                type(col) is np.ndarray and col.dtype.kind in "fiu" and col.shape == (n, fields["dim"])
-                for col in written)):
-            return None
-        fields[f"{kind}_ids"] += map(str, split.ids)
-        if kind == "labeled":
-            fields["labels"] += (name_to_index[header.class_names[split.labels[i]]] for i in range(n))
-        # a labeled split's q_aug and c_aug are checked on loading, not kept
-        for key, column in zip(("q", "c") if kind == "labeled" else ("q", "c", "q_aug", "c_aug"), written):
-            blocks[kind, key].append(column)
-    return fields, [block for column in blocks.values() for block in column]
+    for start in range(0, len(split), step):
+        blocks = [np.ascontiguousarray(col[start : start + step]) for col in columns]
+        finite = np.logical_and.reduce([np.isfinite(block).all(axis=1) for block in blocks])
+        if not finite.all():
+            raise DataFormatError(f"record {split.ids[start + int(finite.argmin())]!r}: a vector entry is not finite")
+        # json's escapes leave no line feed in an id's text
+        ids = "\n".join(map(encode_basestring_ascii, split.ids[start : start + step])).encode()
+        label_heads = (repeat(heads[0]) if split.labels is None
+                       else list(map(heads.__getitem__, split.labels[start : start + step].tolist())))
+        pieces = [repeat(b'{"id":'), ids.split(b"\n"), label_heads, _number_texts(blocks[0])]
+        for sep, block in zip(seps, blocks[1:]):
+            pieces += [repeat(sep), _number_texts(block)]
+        pieces.append(repeat(b"]}\n"))
+        yield b"".join(chain.from_iterable(zip(*pieces)))
 
 
 def _write_columns(path, header: DatasetHeader, splits, source: str) -> None:
     """Write the column file of the dataset file ``path``, whose bytes have
-    the sha256 ``source``, where ``_loaded_columns`` gives its contents, in
-    one pass: the JSON line goes first with a placeholder seal of the
-    seal's length, then each column block is copied, hashed and written
-    once, and last the seal is written over its placeholder."""
-    contents = _loaded_columns(header, splits)
-    if contents is None:
-        return
-    fields, blocks = contents
-    fields["source_sha256"] = source
+    the sha256 ``source``, from the splits it was written from, in one
+    pass: the JSON line goes first with a placeholder seal of the seal's
+    length, then each column is copied, hashed and written in row blocks
+    of about _WRITE_BLOCK_ENTRIES entries, and last the seal is written
+    over its placeholder."""
+    labeled = [split for split in splits if split.labels is not None]
+    unlabeled = [split for split in splits if split.labels is None]
+    fields = {**asdict(header), "labeled_ids": [rid for split in labeled for rid in split.ids],
+              "labels": [k for split in labeled for k in split.labels.tolist()],
+              "unlabeled_ids": [rid for split in unlabeled for rid in split.ids], "source_sha256": source}
     line = _json_line(fields).encode()
     digest = hashlib.sha256(line)
+    step = max(1, _WRITE_BLOCK_ENTRIES // header.dim)
     with atomic_open(f"{path}{_COLS_SUFFIX}", "wb") as fh:
         fh.write(_COLS_MAGIC)
         fh.write(memoryview(line)[:-2])  # less its "}\n"
-        del line  # not held while the columns are copied
+        del line, fields  # not held while the columns are written
         seal = fh.tell()
         fh.write(_seal("0" * digest.digest_size * 2))
-        for block in blocks:
-            block = np.ascontiguousarray(block, dtype="<f8")
-            digest.update(block)
-            fh.write(block)
+        for group, keys in ((labeled, RECORD_KEYS[2:4]), (unlabeled, RECORD_KEYS[2:6])):
+            for key in keys:
+                for split in group:
+                    column = getattr(split, key)
+                    for start in range(0, len(column), step):
+                        block = np.ascontiguousarray(column[start : start + step], dtype="<f8")
+                        digest.update(block)
+                        fh.write(block)
         fh.seek(seal)
         fh.write(_seal(digest.hexdigest()))
 
 
 def write_dataset(path, header: DatasetHeader, *splits) -> str:
-    """Emit header + every split's records in order, in one pass; floats
-    round-trip exactly through JSON, and a non-finite one is a
-    DataFormatError naming the first such record. Returns the sha256 of
-    the file, taken over the bytes as they are written. Each line, and
-    any error, is the one ``json.dumps`` gives, whether ``_record_blocks``
-    joins it from ``orjson``'s column blocks or encodes it alone.
+    """Emit header + every split's records in order, in one pass, and the
+    binary column file ``<path>.cols`` (see the module docstring) beside
+    it. Returns the sha256 of the dataset file, taken over the bytes as
+    they are written. Each line is the one ``json.dumps`` gives, and floats
+    round-trip exactly through JSON.
 
-    The binary column file ``<path>.cols`` (see the module docstring) is
-    then written beside it, where ``_loaded_columns`` shows what the
-    loader would read: for splits as ``load_dataset`` or the generator
-    gives them. A column file left from an earlier write names the old
-    bytes' digest, so the loader ignores it.
+    ``header`` and ``splits`` must be what ``load_dataset`` returns: a
+    header that checks anew and names no class ``unlabeled``; labeled
+    splits with an integer ndarray of class indices as ``labels`` and no
+    ``q_aug`` or ``c_aug``; unlabeled splits with all four columns; every
+    column a native float64 (n, dim) ndarray, of any strides; non-empty,
+    unique str ids; and label counts equal to ``header.labeled_counts``.
+    Anything else is a DataFormatError raised before a file is opened. A
+    non-finite vector entry is a DataFormatError naming the first such
+    record, and leaves no file. A column file left from an earlier write
+    names the old bytes' digest, so the loader ignores it.
     """
+    header = _check_splits(header, splits)
     digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
         for block in chain([_json_line(asdict(header)).encode()], *(_record_blocks(header, s) for s in splits)):

@@ -8,10 +8,10 @@ they once ran, one whole-split matrix or temporary per operation, with
 the same operands in the same order; the tests assert that both give the
 same bytes.
 
-``write_dataset`` encodes a record with ``orjson`` wherever that gives
-the bytes ``json.dumps`` would. ``json_lines`` is the file written with
-``json.dumps`` alone, one record at a time; the tests assert that both
-give the same bytes and the same errors.
+``write_dataset`` encodes every record from ``orjson``'s column blocks.
+``json_lines`` is the file written with ``json.dumps`` alone, one record
+at a time, from splits ``write_dataset`` accepts; the tests assert that
+both give the same bytes, and the same error for a non-finite entry.
 
 It reads text a block of lines at a time, the truth sidecar into one dict
 per block, and ``build_trainer`` maps truth names to class indices in one

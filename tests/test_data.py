@@ -597,30 +597,71 @@ def loader_form_splits(tmp_path, edit):
     return edit(header, labeled, unlabeled)
 
 
+def with_labeled(labeled, **changes):
+    """``labeled`` with ``changes`` to its fields."""
+    return Split(**{**vars(labeled), **changes})
+
+
+def wrong_counts(header, labeled, unlabeled):
+    return DatasetHeader(header.dim, header.class_names, [5, 0]), labeled, unlabeled
+
+
+def duplicate_id(header, labeled, unlabeled):
+    return header, labeled, Split(["a"], None, unlabeled.q, unlabeled.c, unlabeled.q_aug, unlabeled.c_aug)
+
+
+def empty_id(header, labeled, unlabeled):
+    return header, with_labeled(labeled, ids=["a", ""]), unlabeled
+
+
+def int_id(header, labeled, unlabeled):
+    return header, with_labeled(labeled, ids=["a", 7]), unlabeled
+
+
 def tuple_ids(header, labeled, unlabeled):
-    return header, Split([("a", 1), ("b", 2)], labeled.labels, labeled.q, labeled.c), unlabeled
+    return header, with_labeled(labeled, ids=[("a", 1), ("b", 2)]), unlabeled
 
 
-def float32_columns(header, labeled, unlabeled):
+def label_past_the_classes(header, labeled, unlabeled):
+    return header, with_labeled(labeled, labels=np.array([0, header.num_classes])), unlabeled
+
+
+def float_labels(header, labeled, unlabeled):
+    return header, with_labeled(labeled, labels=labeled.labels.astype(np.float64)), unlabeled
+
+
+def int64_column(header, labeled, unlabeled):
+    return header, with_labeled(labeled, q=(labeled.q * 1000).astype(np.int64)), unlabeled
+
+
+def float32_column(header, labeled, unlabeled):
     # 0.1 in float32 is another number than in float64
-    return header, Split(labeled.ids, labeled.labels, (labeled.q + 0.1).astype(np.float32), labeled.c), unlabeled
-
-
-def int_column(header, labeled, unlabeled):
-    return header, Split(labeled.ids, labeled.labels, (labeled.q * 1000).astype(np.int64), labeled.c), unlabeled
+    return header, with_labeled(labeled, q=(labeled.q + 0.1).astype(np.float32)), unlabeled
 
 
 def bool_column(header, labeled, unlabeled):
-    return header, Split(labeled.ids, labeled.labels, labeled.q > 0, labeled.c), unlabeled
+    return header, with_labeled(labeled, q=labeled.q > 0), unlabeled
+
+
+def big_endian_column(header, labeled, unlabeled):
+    return header, labeled, Split(unlabeled.ids, None, unlabeled.q, unlabeled.c, unlabeled.q_aug,
+                                  unlabeled.c_aug.astype(">f8"))
+
+
+def short_column(header, labeled, unlabeled):
+    return header, with_labeled(labeled, c=labeled.c[:-1]), unlabeled
+
+
+def wide_column(header, labeled, unlabeled):
+    return header, with_labeled(labeled, q=np.zeros((len(labeled), header.dim + 1))), unlabeled
+
+
+def labeled_aug(header, labeled, unlabeled):
+    return header, with_labeled(labeled, q_aug=labeled.q, c_aug=labeled.c), unlabeled
 
 
 def sentinel_class(header, labeled, unlabeled):
     return DatasetHeader(header.dim, ["yes", UNLABELED_SENTINEL], header.labeled_counts), labeled, unlabeled
-
-
-def wide_labeled_aug(header, labeled, unlabeled):
-    wide = np.zeros((len(labeled), header.dim + 1))
-    return header, Split(labeled.ids, labeled.labels, labeled.q, labeled.c, wide, wide), unlabeled
 
 
 def negative_count(header, labeled, unlabeled):
@@ -628,24 +669,39 @@ def negative_count(header, labeled, unlabeled):
     return header, labeled, unlabeled
 
 
-@pytest.mark.parametrize("edit,column_file", [
-    (lambda *splits: splits, True),
-    (negative_count, False),  # the header does not load
-    (tuple_ids, False),  # the loader gives "['a', 1]" back
-    (float32_columns, True),  # JSON carries each float32 value as the float64 it is
-    (int_column, True),
-    (bool_column, False),  # the loader refuses a JSON true
-    (sentinel_class, False),  # the loader reads a "no" record as unlabeled
-    (wide_labeled_aug, False),  # the loader refuses the labeled q_aug
-], ids=["loader-form", "negative-count", "tuple-ids", "float32-column", "int64-column", "bool-column",
-        "sentinel-class", "wide-labeled-q_aug"])
-def test_write_dataset_writes_a_column_file_only_where_the_loader_gives_it_back(tmp_path, edit, column_file):
+# each a way the splits given to write_dataset differ from what
+# load_dataset returns
+REFUSED_EDITS = [wrong_counts, duplicate_id, empty_id, int_id, tuple_ids, label_past_the_classes,
+                 float_labels, int64_column, float32_column, bool_column, big_endian_column,
+                 short_column, wide_column, labeled_aug, sentinel_class, negative_count]
+
+
+@pytest.mark.parametrize("edit", REFUSED_EDITS, ids=lambda edit: edit.__name__)
+def test_write_dataset_refuses_splits_load_dataset_would_not_return(tmp_path, edit):
+    header, *splits = loader_form_splits(tmp_path, edit)
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DataFormatError):
+        write_dataset(path, header, *splits)
+    for leftover in (path, f"{path}.partial", f"{path}.cols"):
+        assert not os.path.exists(leftover), leftover
+
+
+@pytest.mark.parametrize("edit", [lambda *splits: splits] + REFUSED_EDITS,
+                         ids=["loader-form"] + [edit.__name__ for edit in REFUSED_EDITS])
+def test_write_dataset_writes_a_column_file_only_where_the_loader_gives_it_back(tmp_path, edit):
     header, *splits = loader_form_splits(tmp_path, lambda *splits: splits)
     path = tmp_path / "ds.jsonl"
-    write_dataset(path, header, *splits)  # leaves a column file for other bytes
-    header, *splits = loader_form_splits(tmp_path, edit)
     write_dataset(path, header, *splits)
-    assert (data._load_columns(path) is not None) == column_file
+    written = [open(name, "rb").read() for name in (path, f"{path}.cols")]
+    header, *splits = loader_form_splits(tmp_path, edit)
+    if edit in REFUSED_EDITS:
+        with pytest.raises(DataFormatError):
+            write_dataset(path, header, *splits)
+        # the earlier files are left as they were
+        assert [open(name, "rb").read() for name in (path, f"{path}.cols")] == written
+    else:
+        write_dataset(path, header, *splits)
+    assert data._load_columns(path) is not None
     assert_same_load(load_from_json_lines(path), path)
 
 
@@ -1234,7 +1290,7 @@ odd_texts = st.text(st.one_of(st.sampled_from(ODD_CHARACTERS), st.characters(max
 
 def column_as(kind, values):
     """``values``, an (n, dim) float64 matrix, as a column of another
-    layout or type, holding the same numbers where the type can."""
+    layout holding the same numbers."""
     n, dim = values.shape
     if kind == "rows-of-a-draw":  # as the generator gives it: rows of unit stride, not contiguous
         draw = np.zeros((n, 3, dim))
@@ -1242,21 +1298,15 @@ def column_as(kind, values):
         return draw[:, 1]
     if kind == "strided":
         return np.repeat(values, 2, axis=1)[:, ::2]
-    if kind == "int64":
-        return np.clip(np.nan_to_num(values), -2.0**62, 2.0**62).astype(np.int64)
-    if kind == "float32":
-        top = np.finfo(np.float32).max
-        return np.clip(values, -top, top).astype(np.float32)
-    return {"c": np.ascontiguousarray, "fortran": np.asfortranarray,
-            "big-endian": lambda v: v.astype(">f8")}[kind](values)
+    return {"c": np.ascontiguousarray, "fortran": np.asfortranarray}[kind](values)
 
 
-COLUMN_KINDS = ["c", "rows-of-a-draw", "fortran", "strided", "int64", "float32", "big-endian"]
+COLUMN_KINDS = ["c", "rows-of-a-draw", "fortran", "strided"]
 
 
 def assert_written_as_json_writes(path, header, *splits):
     """``write_dataset`` writes the oracle's bytes and returns their sha256,
-    or raises its DataFormatError and leaves no file."""
+    or raises its DataFormatError and leaves no file and no column file."""
     try:
         expected = data_oracle.json_lines(header, *splits)
     except DataFormatError as e:
@@ -1268,7 +1318,8 @@ def assert_written_as_json_writes(path, header, *splits):
         with pytest.raises(DataFormatError) as error:
             write_dataset(path, header, *splits)
         assert str(error.value) == expected
-        assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
+        for leftover in (path, f"{path}.partial", f"{path}.cols"):
+            assert not os.path.exists(leftover), leftover
     else:
         assert write_dataset(path, header, *splits) == hashlib.sha256(expected).hexdigest()
         assert path.read_bytes() == expected
@@ -1281,7 +1332,7 @@ def test_write_spells_every_record_as_json_dumps_does(tmp_path, monkeypatch, kin
     # each record is plain but for one part: a vector entry, its id or its
     # label; written in blocks of one or two records, and in one block
     monkeypatch.setattr(data, "_WRITE_BLOCK_ENTRIES", block)
-    odd_ids = [f"id{ch}" for ch in ODD_CHARACTERS] + [7, ("a", 1)]
+    odd_ids = [f"id{ch}" for ch in ODD_CHARACTERS]
     m = len(NOTATION_FLOATS)
     n = m + len(odd_ids)
     odd_entries = np.full((n, 2), 0.5)
@@ -1293,7 +1344,8 @@ def test_write_spells_every_record_as_json_dumps_does(tmp_path, monkeypatch, kin
     ids = [f"v{i}" for i in range(m)] + odd_ids
     labeled = Split(ids + ["named"], labels, column_as(kind, np.vstack([odd_entries, plain[:1]])),
                     column_as(kind, plain))
-    unlabeled = Split(ids, None, *(column_as(kind, v) for v in (plain[:n], plain[:n], plain[:n], -odd_entries)))
+    unlabeled = Split([f"u{rid}" for rid in ids], None,
+                      *(column_as(kind, v) for v in (plain[:n], plain[:n], plain[:n], -odd_entries)))
     assert isinstance(assert_written_as_json_writes(tmp_path / "ds.jsonl", header, labeled, unlabeled), bytes)
 
 
@@ -1330,6 +1382,32 @@ def test_block_encoder_matches_json_dumps(tmp_path, monkeypatch, kind, records, 
         assert b"1e-05" in expected and b"\\u00e9" in expected and b"-1.5e+17" in expected
 
 
+def test_column_file_is_written_in_row_blocks(tmp_path, monkeypatch):
+    # the generator's columns are views of its draw, not contiguous; each is
+    # copied, hashed and written a row block at a time, never whole, and the
+    # bytes do not depend on the block
+    cfg = small_config(dim=64, unlabeled_counts=[2000, 1000, 1000])
+    rng = np.random.default_rng(cfg.seed)
+    labeled = data._draw_split(cfg, rng, cfg.labeled_counts, "lab", augmented=False)
+    unlabeled = data._draw_split(cfg, rng, cfg.unlabeled_counts, "unl", augmented=True)
+    unlabeled.labels = None
+    assert not unlabeled.q.flags.c_contiguous
+    header = DatasetHeader(cfg.dim, cfg.class_names, cfg.labeled_counts)
+    path = tmp_path / "ds.jsonl"
+    tracemalloc.start()
+    try:
+        data._write_columns(path, header, [labeled, unlabeled], "0" * 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < unlabeled.q.nbytes / 4
+    written = (tmp_path / "ds.jsonl.cols").read_bytes()
+    for block in (1, 100):  # a row at a time; two rows at a time
+        monkeypatch.setattr(data, "_WRITE_BLOCK_ENTRIES", block)
+        data._write_columns(path, header, [labeled, unlabeled], "0" * 64)
+        assert (tmp_path / "ds.jsonl.cols").read_bytes() == written
+
+
 def break_last_label(labeled, unlabeled):
     labeled.labels[-1] = 3  # past class_names, in the last record written
     return unlabeled, labeled
@@ -1342,16 +1420,14 @@ def break_two_records(labeled, unlabeled):
 
 
 @pytest.mark.parametrize("corrupt", [break_last_label, break_two_records], ids=["label", "short-columns"])
-def test_write_raises_what_json_dumps_does_on_a_record_it_cannot_write(tmp_path, corrupt):
+def test_write_refuses_a_record_it_cannot_write_before_opening_a_file(tmp_path, monkeypatch, corrupt):
     header, *splits = drawn_splits()
     splits = corrupt(*splits)
-    with pytest.raises(IndexError) as first_bad:  # the records in file order
-        data_oracle.json_lines(header, *splits)
+    monkeypatch.setattr(data, "atomic_open", None)  # no file can be opened
     path = tmp_path / "ds.jsonl"
-    with pytest.raises(IndexError) as written:
+    with pytest.raises(DataFormatError):
         write_dataset(path, header, *splits)
-    assert str(written.value) == str(first_bad.value)
-    assert not os.path.exists(path) and not os.path.exists(f"{path}.partial")
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_matches_json_dumps_on_any_records(tmp_path):
@@ -1367,7 +1443,6 @@ def test_write_matches_json_dumps_on_any_records(tmp_path):
         dim = draw.draw(st.integers(1, 3))
         names = draw.draw(st.lists(texts, min_size=2, max_size=3, unique=True)
                           .filter(lambda names: UNLABELED_SENTINEL not in names))
-        ids = st.one_of(plain_texts, odd_texts, st.integers(), st.tuples(st.integers(0, 9), texts))
 
         def column(n):
             # plain entries, and a few others
@@ -1377,11 +1452,11 @@ def test_write_matches_json_dumps_on_any_records(tmp_path):
                 values[row % n, entry % dim] = value
             return column_as(draw.draw(st.sampled_from(COLUMN_KINDS)), values)
 
-        n = draw.draw(st.integers(0, 4))
+        n, m = draw.draw(st.integers(0, 4)), draw.draw(st.integers(0, 4))
+        ids = draw.draw(st.lists(texts.filter(bool), min_size=n + m, max_size=n + m, unique=True))
         labels = np.array(draw.draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n)), dtype=np.int64)
-        labeled = Split(draw.draw(st.lists(ids, min_size=n, max_size=n)), labels, column(n), column(n))
-        n = draw.draw(st.integers(0, 4))
-        unlabeled = Split(draw.draw(st.lists(ids, min_size=n, max_size=n)), None, *(column(n) for _ in range(4)))
+        labeled = Split(ids[:n], labels, column(n), column(n))
+        unlabeled = Split(ids[n:], None, *(column(m) for _ in range(4)))
         header = DatasetHeader(dim, names, np.bincount(labels, minlength=len(names)).tolist())
         splits = [split for split in (labeled, unlabeled) if len(split)]
         poison = draw.draw(st.none() | st.tuples(st.sampled_from([math.nan, math.inf, -math.inf]),
@@ -1390,8 +1465,7 @@ def test_write_matches_json_dumps_on_any_records(tmp_path):
             value, k, row, entry = poison
             split = splits[k % len(splits)]
             target = [split.q, split.c, split.q_aug, split.c_aug][k % (2 if split.labels is not None else 4)]
-            if target.dtype.kind == "f":
-                target[row % len(split), entry % dim] = value
+            target[row % len(split), entry % dim] = value
         outcomes.add(type(assert_written_as_json_writes(tmp_path / "ds.jsonl", header, labeled, unlabeled)))
 
     write()
